@@ -90,6 +90,18 @@ class ConfigError(ValueError):
     """Raised for malformed or inconsistent pipeline configuration."""
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value: object) -> bool:
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """All tunable constants of a pipeline run, with documented defaults.
@@ -127,6 +139,8 @@ class PipelineConfig:
     annuli: Optional[tuple[tuple[float, float], tuple[float, float]]] = None
 
     def __post_init__(self) -> None:
+        if not all(_is_int(v) for row in self.matrix for v in row):
+            raise ConfigError(f"matrix entries must be integers: {self.matrix}")
         for name in (
             "surplus",
             "support_eps",
@@ -137,20 +151,35 @@ class PipelineConfig:
             "probe_radius",
             "inner_scale",
         ):
-            if not (getattr(self, name) > 0):
-                raise ConfigError(f"{name} must be positive")
-        if self.theta_grid < 100:
-            raise ConfigError("theta_grid must be at least 100")
-        if self.robustness_grid < 100:
-            raise ConfigError("robustness_grid must be at least 100")
+            value = getattr(self, name)
+            if not (_is_finite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and positive")
+        for name in ("theta_grid", "robustness_grid"):
+            value = getattr(self, name)
+            if not (_is_int(value) and value >= 100):
+                raise ConfigError(f"{name} must be an integer of at least 100")
         for name in ("sample_count", "n_max", "probe_count", "mc_trials",
                      "extraction_steps"):
-            if not (int(getattr(self, name)) >= 1):
+            value = getattr(self, name)
+            if not (_is_int(value) and value >= 1):
                 raise ConfigError(f"{name} must be a positive integer")
-        if not self.sweep_supports or any(r <= 0 for r in self.sweep_supports):
-            raise ConfigError("sweep_supports must be positive values")
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise ConfigError(
+                f"seed must be a non-negative integer, got {self.seed!r}"
+            )
+        if not self.sweep_supports or not all(
+            _is_finite(r) and r > 0 for r in self.sweep_supports
+        ):
+            raise ConfigError("sweep_supports must be finite positive values")
         if self.annuli is not None:
+            if len(self.annuli) != 2:
+                raise ConfigError(
+                    "annuli must be exactly two [alpha, beta] pairs (lower, "
+                    f"upper), got {len(self.annuli)}"
+                )
             for pair in self.annuli:
+                if len(pair) != 2 or not all(_is_finite(v) for v in pair):
+                    raise ConfigError(f"bad annulus {pair}: need two finite values")
                 try:
                     AnnulusSpec(*pair)  # validates 0 < alpha < beta
                 except ValueError as exc:
@@ -166,17 +195,22 @@ class PipelineConfig:
         if "matrix" in kwargs:
             rows = kwargs["matrix"]
             try:
-                kwargs["matrix"] = tuple(
-                    tuple(int(v) for v in row) for row in rows
-                )
-            except (TypeError, ValueError) as exc:
+                kwargs["matrix"] = tuple(tuple(row) for row in rows)
+            except TypeError as exc:
                 raise ConfigError(f"matrix must be integer rows: {exc}") from exc
-        if "sweep_supports" in kwargs:
-            kwargs["sweep_supports"] = tuple(float(r) for r in kwargs["sweep_supports"])
-        if "annuli" in kwargs and kwargs["annuli"] is not None:
-            kwargs["annuli"] = tuple(
-                (float(a), float(b)) for a, b in kwargs["annuli"]
-            )
+        try:
+            if "sweep_supports" in kwargs:
+                kwargs["sweep_supports"] = tuple(
+                    float(r) for r in kwargs["sweep_supports"]
+                )
+            if "annuli" in kwargs and kwargs["annuli"] is not None:
+                kwargs["annuli"] = tuple(
+                    tuple(float(v) for v in pair) for pair in kwargs["annuli"]
+                )
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"sweep_supports and annuli must be numbers: {exc}"
+            ) from exc
         try:
             return cls(**kwargs)
         except TypeError as exc:
@@ -287,15 +321,21 @@ def _default_annuli(
 
     The lower annulus sits inside (l1, l2), the upper inside
     (1 + surplus, l3); each leaves a third of the gap (in log scale) on
-    both sides, so grid certificates retain usable margins.
+    both sides, so grid certificates retain usable margins.  Raises
+    :class:`ConfigError` when ``1 + surplus`` leaves no room below ``l3``.
     """
     l1, l2, l3 = eig.values
     g1 = (l2 / l1) ** (1.0 / 3.0)
     g2 = (l3 / (1.0 + surplus)) ** (1.0 / 3.0)
-    return (
-        AnnulusSpec(l1 * g1, l2 / g1),
-        AnnulusSpec((1.0 + surplus) * g2, l3 / g2),
-    )
+    try:
+        upper = AnnulusSpec((1.0 + surplus) * g2, l3 / g2)
+    except ValueError as exc:
+        raise ConfigError(
+            f"surplus {surplus!r} leaves no room for the default upper "
+            f"annulus: 1 + surplus must be below the top eigenvalue "
+            f"{l3:.6g} ({exc})"
+        ) from exc
+    return AnnulusSpec(l1 * g1, l2 / g1), upper
 
 
 def _expanding_eigenspace_angle(final_matrix: np.ndarray) -> tuple[int, float]:
@@ -353,13 +393,28 @@ def _stage_planner(
     }
     moduli = np.abs(np.linalg.eigvals(final))
     frag["planned_moduli"] = sorted(float(m) for m in moduli)
-    ok = (
+    errors = []
+    if not (
         dim_exp == 4
         and angle < 1e-8
         and bool(np.all(np.abs(moduli - 1.0) > 1e-6))
-    )
-    if not ok:
-        frag["error"] = "planned spectrum failed verification"
+    ):
+        errors.append("planned spectrum failed verification")
+    # plan.avoidance holds one result per (step, annulus), annuli innermost.
+    for k, res in enumerate(plan.avoidance):
+        if not res.certified:
+            name = ("lower", "upper")[k % 2]
+            ann = annuli[k % 2]
+            errors.append(
+                f"avoidance of the {name} annulus [{ann.alpha_q:.6g}, "
+                f"{ann.beta_q:.6g}] on step {k // 2 + 1} not certified: "
+                f"Bauer-Fike bound {res.lip_bound:.3e} >= margin "
+                f"{res.margin:.3e} on grid {res.grid} after "
+                f"{res.densifications} densifications"
+            )
+    ok = not errors
+    if errors:
+        frag["error"] = "; ".join(errors)
     frag["status"] = "pass" if ok else "fail"
     return frag, ok, plan
 

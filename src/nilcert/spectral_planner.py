@@ -12,7 +12,9 @@ checks:
 * :func:`annulus_avoidance` — certifies that the whole rotated family
   ``R_theta . D`` keeps its eigenvalue moduli outside a given annulus,
   with a rigorous inter-grid Lipschitz bound and automatic grid
-  densification;
+  densification.  The grid is evaluated as stacks of rotated maps, one
+  stacked ``eig`` and ``cond`` per chunk of angles; for diagonal ``D``
+  the result is bit-identical to evaluating one angle at a time;
 * :func:`find_realifying_angle` — the smallest rotation making a
   complex eigenvalue pair real;
 * :func:`jordan_detuning` — a small rotation splitting a Jordan block
@@ -54,6 +56,8 @@ __all__ = [
 ]
 
 _MIN_GRID = 100
+# Angles per stacked eig/cond call in annulus_avoidance; sized for memory.
+_THETA_CHUNK = 128
 
 
 class PlanningError(ValueError):
@@ -140,6 +144,20 @@ def annulus_avoidance(
     clear the margin, the grid is doubled up to ``max_densifications``
     times — the result records how much densification was needed.
 
+    The grid is evaluated in chunks of ``_THETA_CHUNK`` angles: one
+    ``(k, n, n)`` stack of rotated maps, one stacked ``eig`` and one
+    stacked ``cond`` per chunk, and array arithmetic for the distances,
+    margins, bounds and violations.  Each rotation is formed in the
+    operation order of :meth:`RotationPlane.rotation_matrix`, from
+    ``math.cos``/``math.sin``; moduli use ``hypot`` (as scalar ``abs``
+    does); and a grid point whose eigenvalues are all real has its
+    condition number taken on the real eigenbasis, as a single ``eig``
+    would return it.  So for diagonal ``dq`` — every single-step and
+    modulus-one plan — the result equals a per-angle evaluation bit for
+    bit.  For a general ``dq`` the stacked product ``R_theta . dq`` may
+    round differently in the last place, which moves ``margin`` and
+    ``lip_bound`` by rounding only.
+
     With ``a = 0`` the sweep degenerates to a single eigenvalue check of
     ``dq`` and the certificate is exact.
 
@@ -151,6 +169,9 @@ def annulus_avoidance(
         raise ValueError("rotation range must be nonnegative")
     dq = np.asarray(dq, dtype=float)
     norm_dq = float(np.linalg.norm(dq, 2))
+    eye = np.eye(len(plane.e1))
+    proj = np.outer(plane.e1, plane.e1) + np.outer(plane.e2, plane.e2)
+    gen = plane.generator
 
     n_grid = grid
     densifications = 0
@@ -165,22 +186,24 @@ def annulus_avoidance(
         lip = 0.0
         point_certified = True
         violations: list[tuple[float, complex]] = []
-        for theta in thetas:
-            m = plane.rotation_matrix(float(theta)) @ dq
-            evals, vecs = np.linalg.eig(m)
-            local_margin = math.inf
-            for ev in evals:
-                d = ann.distance(abs(ev))
-                if d <= 0:
-                    violations.append((float(theta), complex(ev)))
-                local_margin = min(local_margin, d)
-            margin = min(margin, local_margin)
-            # Rotations within half a step of this grid point perturb the map
+        for start in range(0, len(thetas), _THETA_CHUNK):
+            chunk = thetas[start : start + _THETA_CHUNK].tolist()
+            ct = np.array([math.cos(t) for t in chunk])
+            st = np.array([math.sin(t) for t in chunk])
+            rot = eye + (ct - 1.0)[:, None, None] * proj
+            rot += st[:, None, None] * gen
+            evals, vecs = np.linalg.eig(rot @ dq)
+            dist = _annulus_distance(ann, np.hypot(evals.real, evals.imag))
+            for i, j in zip(*np.nonzero(dist <= 0)):
+                violations.append((chunk[i], complex(evals[i, j])))
+            local_margin = np.fmin.reduce(dist, axis=1, initial=math.inf)
+            margin = float(np.fmin.reduce(local_margin, initial=margin))
+            # Rotations within half a step of a grid point perturb the map
             # by at most half_step in spectral norm; Bauer-Fike moves the
             # eigenvalues by at most kappa(V) times that.
-            local_bound = float(np.linalg.cond(vecs)) * half_step * norm_dq
-            lip = max(lip, local_bound)
-            if local_bound >= local_margin:
+            local_bound = _eigenbasis_cond(evals, vecs) * half_step * norm_dq
+            lip = float(np.fmax.reduce(local_bound, initial=lip))
+            if np.any(local_bound >= local_margin):
                 point_certified = False
         ok = not violations
         certified = ok and point_certified
@@ -188,14 +211,43 @@ def annulus_avoidance(
             return AvoidanceResult(
                 ok=ok,
                 certified=certified,
-                margin=float(margin),
-                lip_bound=float(lip),
+                margin=margin,
+                lip_bound=lip,
                 grid=len(thetas),
                 densifications=densifications,
                 violations=tuple(violations),
             )
         n_grid *= 2
         densifications += 1
+
+
+def _annulus_distance(ann: AnnulusSpec, moduli: np.ndarray) -> np.ndarray:
+    """:meth:`AnnulusSpec.distance` applied elementwise."""
+    inside = -np.minimum(moduli - ann.alpha_q, ann.beta_q - moduli)
+    return np.where(
+        moduli < ann.alpha_q,
+        ann.alpha_q - moduli,
+        np.where(moduli > ann.beta_q, moduli - ann.beta_q, inside),
+    )
+
+
+def _eigenbasis_cond(evals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Condition numbers of a stack of eigenbases, one per matrix.
+
+    A stacked ``eig`` returns complex eigenvectors for the whole stack as
+    soon as one matrix has a complex pair.  Matrices whose eigenvalues
+    are all real get the condition number of their real eigenbasis, as
+    an unstacked ``eig`` would have returned it.
+    """
+    if not np.iscomplexobj(vecs):
+        return np.linalg.cond(vecs)
+    real_rows = np.all(evals.imag == 0.0, axis=1)
+    cond = np.empty(len(vecs))
+    if real_rows.any():
+        cond[real_rows] = np.linalg.cond(vecs[real_rows].real)
+    if not real_rows.all():
+        cond[~real_rows] = np.linalg.cond(vecs[~real_rows])
+    return cond
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,28 @@ def test_invalid_config_exits_two(tmp_path, capsys):
     assert "invalid config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        {"annuli": [[1, 2]]},
+        {"seed": -1},
+        {"seed": 1.5},
+        {"surplus": 1e308},
+        {"surplus": float("inf")},
+        {"matrix": [[2.5, -3, 1], [-3, 6, -2], [1, -2, 1]]},
+    ],
+    ids=["one-annulus", "negative-seed", "float-seed", "huge-surplus",
+         "infinite-surplus", "float-matrix-entry"],
+)
+def test_invalid_config_values_exit_two(tmp_path, capsys, extra):
+    # A surplus is checked against the certified top eigenvalue, so it is
+    # rejected after the matrix stage ("invalid input"), not on loading.
+    cfg = _write_config(tmp_path, extra)
+    code = main(["certify", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == EXIT_INVALID_INPUT
+    assert "invalid" in capsys.readouterr().err
+
+
 def test_sweep_support_command(tmp_path, capsys):
     cfg = _write_config(tmp_path)
     out_dir = tmp_path / "out"
@@ -264,6 +286,22 @@ def test_plan_command_prints_plan(capsys):
     assert frag["status"] == "pass"
     assert frag["plan"]["branch"] == "single_step"
     assert frag["expanding_eigenspace"]["dimension"] == 4
+
+
+def test_plan_without_certificate_fails(tmp_path, capsys):
+    # x^3 - 20x^2 + 9x - 1: every grid point clears the lower annulus, but
+    # the Bauer-Fike bound still exceeds the margin after six doublings.
+    cfg = _write_config(
+        tmp_path, {"matrix": [[0, 0, 1], [1, 0, -9], [0, 1, 20]]}
+    )
+    assert main(["plan", "--config", cfg]) == EXIT_CERTIFICATION_FAILURE
+    frag = json.loads(capsys.readouterr().out)
+    assert frag["status"] == "fail"
+    lower = frag["plan"]["avoidance"][0]
+    assert lower["ok"] and not lower["certified"]
+    assert "lower annulus" in frag["error"]
+    bound = f"{lower['lip_bound']:.3e} >= margin {lower['margin']:.3e}"
+    assert bound in frag["error"]
 
 
 def test_report_command_pretty_prints(tmp_path, capsys):

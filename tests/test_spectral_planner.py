@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nilcert.algebraic_core import EigenData, IntegerMatrixSpec
+from nilcert.nilmanifold import AutomorphismSpec
 from nilcert.spectral_planner import (
     AnnulusSpec,
+    AvoidanceResult,
     LabeledSpectrum,
     PlanningError,
     annulus_avoidance,
@@ -257,3 +260,141 @@ def test_planning_error_for_annulus_containing_center(auto, annuli):
     bad_lower = AnnulusSpec(0.40, 0.45)  # contains l2 = 0.4260...
     with pytest.raises(PlanningError):
         LabeledSpectrum.from_diagonal(auto.diag, bad_lower, annuli[1])
+
+
+# -- batched avoidance sweep against a per-angle reference -------------------
+
+
+def _reference_avoidance(dq, plane, a, ann, grid=1024, max_densifications=6):
+    """The sweep evaluated one angle at a time: one rotation, one ``eig``
+    and one ``cond`` per grid point, scalar distances and bounds."""
+    dq = np.asarray(dq, dtype=float)
+    norm_dq = float(np.linalg.norm(dq, 2))
+    n_grid = grid
+    densifications = 0
+    while True:
+        if a == 0.0:
+            thetas = np.array([0.0])
+            half_step = 0.0
+        else:
+            thetas = np.linspace(0.0, a, n_grid)
+            half_step = a / (n_grid - 1) / 2.0
+        margin = math.inf
+        lip = 0.0
+        point_certified = True
+        violations = []
+        for theta in thetas:
+            m = plane.rotation_matrix(float(theta)) @ dq
+            evals, vecs = np.linalg.eig(m)
+            local_margin = math.inf
+            for ev in evals:
+                d = ann.distance(abs(ev))
+                if d <= 0:
+                    violations.append((float(theta), complex(ev)))
+                local_margin = min(local_margin, d)
+            margin = min(margin, local_margin)
+            local_bound = float(np.linalg.cond(vecs)) * half_step * norm_dq
+            lip = max(lip, local_bound)
+            if local_bound >= local_margin:
+                point_certified = False
+        ok = not violations
+        certified = ok and point_certified
+        if not ok or certified or densifications >= max_densifications:
+            return AvoidanceResult(
+                ok=ok,
+                certified=certified,
+                margin=float(margin),
+                lip_bound=float(lip),
+                grid=len(thetas),
+                densifications=densifications,
+                violations=tuple(violations),
+            )
+        n_grid *= 2
+        densifications += 1
+
+
+def _companion_case(t, s):
+    """Diagonal map, planned plane and angle, and default annuli for the
+    companion matrix of x^3 - t x^2 + s x - 1."""
+    eig = EigenData.from_matrix(
+        IntegerMatrixSpec.from_rows([[0, 0, 1], [1, 0, -s], [0, 1, t]])
+    )
+    l1, l2, l3 = eig.values
+    g1 = (l2 / l1) ** (1.0 / 3.0)
+    g2 = (l3 / 1.05) ** (1.0 / 3.0)
+    annuli = (AnnulusSpec(l1 * g1, l2 / g1), AnnulusSpec(1.05 * g2, l3 / g2))
+    diag = AutomorphismSpec.from_eigendata(eig).diag
+    labeled = LabeledSpectrum.from_diagonal(diag, annuli[0], annuli[1])
+    step = plan_center_collapse(labeled, s=0.05, annuli=(), grid=1024).steps[-1]
+    return np.diag(diag), step.plane, step.angle, annuli
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_batched_avoidance_matches_reference_on_default_plan(
+    plan, auto, annuli, which
+):
+    step = plan.steps[-1]
+    args = (np.diag(auto.diag), step.plane, step.angle, annuli[which])
+    res = annulus_avoidance(*args)
+    assert res == _reference_avoidance(*args)
+    assert res == plan.avoidance[which]
+
+
+def test_batched_avoidance_matches_reference_on_violation_and_zero_angle(
+    auto, annuli
+):
+    mid = (annuli[0].alpha_q + annuli[0].beta_q) / 2
+    diag = np.array(auto.diag, dtype=float)
+    diag[0] = mid
+    plane = RotationPlane.from_basis_indices(3, 8)
+    res = annulus_avoidance(np.diag(diag), plane, 0.5, annuli[0])
+    assert not res.ok and len(res.violations) == 1024
+    assert res == _reference_avoidance(np.diag(diag), plane, 0.5, annuli[0])
+    args = (np.diag(auto.diag), plane, 0.0, annuli[0])
+    assert annulus_avoidance(*args) == _reference_avoidance(*args)
+
+
+def test_batched_avoidance_matches_reference_when_uncertified():
+    # x^3 - 20x^2 + 9x - 1: the lower annulus stays grid-only after the
+    # sixth doubling (65,536 points), the case the planner stage rejects.
+    dq, plane, angle, annuli = _companion_case(20, 9)
+    res = annulus_avoidance(dq, plane, angle, annuli[0])
+    assert res.ok and not res.certified
+    assert (res.grid, res.densifications) == (65536, 6)
+    assert res == _reference_avoidance(dq, plane, angle, annuli[0])
+
+
+def test_batched_avoidance_matches_reference_on_chain_plan():
+    """Chain steps rotate a non-diagonal map, where the stacked product
+    ``R_theta . dq`` is not guaranteed to round as the unstacked one does.
+    The discrete outcome must agree exactly; margin and Lipschitz bound
+    within 1e-9 relative.  Near the end of the second step's range the map
+    is nearly defective, so its eigenbasis condition number is rounding
+    sensitive there: on the default 1,024-point grid, taking it on the
+    complex-typed basis that a stacked ``eig`` returns for all-real rows
+    moved ``lip_bound`` by 5.5e-13 relative, which is why the sweep uses
+    the real basis for those rows.  With that, this plan agrees exactly;
+    the tolerance covers the stacked product's rounding."""
+    stable = tuple((0.9 * 1.1 * 1.25) ** (-1.0 / 6.0) for _ in range(6))
+    eigs = LabeledSpectrum(
+        stable=tuple((s, i) for i, s in enumerate(stable)),
+        center=((0.9, 6),),
+        unstable=((1.1, 7), (1.25, 8)),
+    )
+    annuli = (AnnulusSpec(0.5, 0.8), AnnulusSpec(1.5, 2.0))
+    plan = plan_center_collapse(eigs, s=0.05, annuli=annuli, grid=256, dim=9)
+    assert plan.branch == "chain" and len(plan.avoidance) == 4
+    current = eigs.diagonal_matrix(9)
+    results = iter(plan.avoidance)
+    for step in plan.steps:
+        for ann in annuli:
+            res = next(results)
+            ref = _reference_avoidance(
+                current, step.plane, step.angle, ann, grid=256
+            )
+            for name in ("ok", "certified", "grid", "densifications",
+                         "violations"):
+                assert getattr(res, name) == getattr(ref, name), name
+            assert res.margin == pytest.approx(ref.margin, rel=1e-9)
+            assert res.lip_bound == pytest.approx(ref.lip_bound, rel=1e-9)
+        current = step.plane.rotation_matrix(step.angle) @ current
