@@ -40,7 +40,6 @@ from .deformation import (
     LocalRotationMap,
     ProfileError,
     RotationPlane,
-    deformed_map,
     make_profile,
     psi_eval,
     psi_slope,
@@ -110,7 +109,6 @@ __all__ = [
     "LocalRotationMap",
     "ProfileError",
     "RotationPlane",
-    "deformed_map",
     "make_profile",
     "psi_eval",
     "psi_slope",

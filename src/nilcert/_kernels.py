@@ -1,107 +1,35 @@
-"""Numerical hot loops, JIT-compiled when numba is available.
+"""Numerical kernels, in plain numpy on ``float64`` arrays: small dense
+products, the Lie bracket, the bump profile, the local rotation and its
+Jacobian, S-procedure cone margins and QR frame transport.  Structured
+inputs (profiles, planes) arrive flattened by their owning modules.
 
-Every function here is written as a plain, explicit-loop numpy function
-and wrapped with ``numba.njit`` at import time.  Setting the environment
-variable ``NILCERT_DISABLE_NUMBA`` to a non-empty value (other than
-``0``/``false``) selects the pure-numpy fallback path; the two backends
-compute identical results, which ``benchmarks/bench_kernels.py`` and the
-test suite both exercise.
+The kernels reproduce bit for bit the element loops they replaced (kept
+as oracles in ``tests/test_kernels.py``), so reports do not move:
 
-Kernels accept plain ``float64`` arrays only.  Structured inputs (bump
-profiles, rotation planes) are flattened into parameter vectors by their
-owning modules before the call.
+* :func:`mat_mul` adds the rank-one terms ``a[:, k] b[k]`` in ``k``
+  order, the loops' order of additions; ``a @ b`` and ``einsum`` do not.
+* The rotation kernels take in-plane coordinates as ``e1 @ x``, which is
+  exact when ``e1`` and ``e2`` are coordinate vectors, the only planes
+  the pipeline rotates in.  On a general plane the last bit may differ.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
-
-__all__ = [
-    "USING_NUMBA",
-    "warm_up",
-    "mat_mul",
-    "mat_vec",
-    "mat_pow_int",
-    "spectral_norm",
-    "bracket9",
-    "bch9",
-    "psi_eval_params",
-    "psi_slope_params",
-    "rotate_in_plane",
-    "h_apply",
-    "h_jacobian",
-    "containment_margin",
-    "grid_domination_margins",
-    "qr_product_forward",
-    "qr_product_pullback",
-]
-
-
-def _numba_disabled() -> bool:
-    flag = os.environ.get("NILCERT_DISABLE_NUMBA", "").strip().lower()
-    return flag not in ("", "0", "false")
-
-
-try:
-    if _numba_disabled():
-        raise ImportError("numba disabled via NILCERT_DISABLE_NUMBA")
-    from numba import njit
-
-    USING_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via env flag in CI
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        if len(args) == 1 and callable(args[0]) and not kwargs:
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
-
-    USING_NUMBA = False
-
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-# ---------------------------------------------------------------------------
-# Dense linear algebra on small matrices
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
 def mat_mul(a, b):
-    n = a.shape[0]
-    m = b.shape[1]
-    k = a.shape[1]
-    out = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            acc = 0.0
-            for t in range(k):
-                acc += a[i, t] * b[t, j]
-            out[i, j] = acc
+    # Rank-one terms in k order: bit-identical to the sequential dot loop.
+    out = np.zeros((a.shape[0], b.shape[1]))
+    for k in range(a.shape[1]):
+        out += np.outer(a[:, k], b[k])
     return out
 
 
-@njit(cache=True)
-def mat_vec(a, v):
-    n = a.shape[0]
-    k = a.shape[1]
-    out = np.zeros(n)
-    for i in range(n):
-        acc = 0.0
-        for t in range(k):
-            acc += a[i, t] * v[t]
-        out[i] = acc
-    return out
-
-
-@njit(cache=True)
 def mat_pow_int(a, n):
     out = np.eye(a.shape[0])
     for _ in range(n):
@@ -109,18 +37,6 @@ def mat_pow_int(a, n):
     return out
 
 
-@njit(cache=True)
-def spectral_norm(a):
-    s = np.linalg.svd(a)[1]
-    return s[0]
-
-
-# ---------------------------------------------------------------------------
-# Two-step nilpotent Lie algebra operations (three Heisenberg factors)
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
 def bracket9(u, v):
     """Lie bracket on the 9-dimensional algebra, slotwise per factor.
 
@@ -129,44 +45,23 @@ def bracket9(u, v):
     in the z slots.
     """
     out = np.zeros(9)
-    for i in range(3):
-        x = 3 * i
-        out[x + 2] = u[x] * v[x + 1] - u[x + 1] * v[x]
+    out[2::3] = u[0::3] * v[1::3] - u[1::3] * v[0::3]
     return out
 
 
-@njit(cache=True)
 def bch9(u, v):
     """Group product in logarithmic coordinates: u * v on a 2-step group.
 
     For a nilpotent group of step two the Baker-Campbell-Hausdorff series
     terminates exactly: log(exp u exp v) = u + v + [u, v]/2.
     """
-    out = u + v + 0.5 * bracket9(u, v)
-    return out
+    return u + v + 0.5 * bracket9(u, v)
 
 
-# ---------------------------------------------------------------------------
-# Radial bump profile evaluation
-# ---------------------------------------------------------------------------
-#
-# Parameter vector layout (see deformation.BumpProfile.params):
-#   0: a        plateau value
-#   1: eps      support scale; the profile vanishes beyond eps/2 + w
-#   2: b        end of the exact plateau (may underflow to 0.0)
-#   3: c        log-branch offset: value on the branch is -(eps/2) log t + c
-#   4: w        blend half-width (b / 4)
-#   5: lo_on    1.0 when the inner C^2 blend window [b-w, b+w] is active
-#   6: hi_on    1.0 when the outer C^2 blend window [eps/2-w, eps/2+w] is active
-#
-# The inner blend uses closed-form endpoint data: with w = b/4 the ratio
-# 2w/(b+w) equals 2/5 exactly, so the Hermite endpoint slope and curvature
-# are -(eps/2)*(2/5) and (eps/2)*(2/5)^2 in blend coordinates, independent
-# of how small b is.  This keeps the blend finite even when b is within a
-# few orders of magnitude of the smallest positive float.
+# The radial bump profile.  ``p`` is ``deformation.BumpProfile.params``:
+# (a, eps, b, c, w, lo_blend, hi_blend), the flags as 1.0 / 0.0.
 
 
-@njit(cache=True)
 def _quintic(u, y0, d0, s0, y1, d1, s1):
     """C^2 two-point Hermite quintic on u in [0, 1].
 
@@ -186,7 +81,6 @@ def _quintic(u, y0, d0, s0, y1, d1, s1):
     return y0 * h00 + d0 * h10 + s0 * h20 + y1 * h01 + d1 * h11 + s1 * h21
 
 
-@njit(cache=True)
 def _quintic_d(u, y0, d0, s0, y1, d1, s1):
     """Derivative in u of :func:`_quintic`."""
     u2 = u * u
@@ -201,125 +95,85 @@ def _quintic_d(u, y0, d0, s0, y1, d1, s1):
     return y0 * h00 + d0 * h10 + s0 * h20 + y1 * h01 + d1 * h11 + s1 * h21
 
 
-@njit(cache=True)
-def psi_eval_params(t, p):
-    a = p[0]
-    eps = p[1]
-    b = p[2]
-    c = p[3]
-    w = p[4]
+def _psi_piece(t, p):
+    """The piece of the profile that holds radius t: ``("flat", value)``
+    where it is constant, ``("log", value)`` on the log branch, or
+    ``("blend", (2w, u, y0, d0, s0, y1, d1, s1))`` in a blend window, with
+    u the window coordinate and the quintic's endpoint data."""
+    a, eps, b, c, w = p[:5]
     lo_on = p[5] > 0.5
     hi_on = p[6] > 0.5
     half = 0.5 * eps
-    hi_end = half + w if hi_on else half
-
     if t <= 0.0:
-        return a
-    if t >= hi_end:
-        return 0.0
+        return "flat", a
+    if t >= (half + w if hi_on else half):
+        return "flat", 0.0
     if lo_on and t < b + w:
         if t <= b - w:
-            return a
+            return "flat", a
         # Inner blend: scaled endpoint data, independent of the size of b.
         u = (t - (b - w)) / (2.0 * w)
         y1 = a - half * math.log(1.25)  # value of the log branch at b + w
         d1 = -half * 0.4  # slope * (2w): -(eps/2) * 2w/(b+w) = -(eps/2)*(2/5)
         s1 = half * 0.16  # curvature * (2w)^2: (eps/2) * (2/5)^2
-        return _quintic(u, a, 0.0, 0.0, y1, d1, s1)
+        return "blend", (2.0 * w, u, a, 0.0, 0.0, y1, d1, s1)
     if not lo_on and t < b:
-        return a
+        return "flat", a
     if hi_on and t > half - w:
         u = (t - (half - w)) / (2.0 * w)
         t0 = half - w
         y0 = -half * math.log(t0) + c
         d0 = -half * (2.0 * w) / t0
         s0 = half * (2.0 * w / t0) ** 2
-        return _quintic(u, y0, d0, s0, 0.0, 0.0, 0.0)
+        return "blend", (2.0 * w, u, y0, d0, s0, 0.0, 0.0, 0.0)
     val = -half * math.log(t) + c
     if val > a:
-        return a
-    return val
+        return "flat", a  # clamped to the plateau
+    return "log", val
 
 
-@njit(cache=True)
+def psi_eval_params(t, p):
+    kind, data = _psi_piece(t, p)
+    if kind == "blend":
+        return _quintic(*data[1:])
+    return data
+
+
 def psi_slope_params(t, p):
-    a = p[0]
-    eps = p[1]
-    b = p[2]
-    c = p[3]
-    w = p[4]
-    lo_on = p[5] > 0.5
-    hi_on = p[6] > 0.5
-    half = 0.5 * eps
-    hi_end = half + w if hi_on else half
-
-    if t <= 0.0:
-        return 0.0
-    if t >= hi_end:
-        return 0.0
-    if lo_on and t < b + w:
-        if t <= b - w:
-            return 0.0
-        u = (t - (b - w)) / (2.0 * w)
-        y1 = a - half * math.log(1.25)
-        d1 = -half * 0.4
-        s1 = half * 0.16
-        return _quintic_d(u, a, 0.0, 0.0, y1, d1, s1) / (2.0 * w)
-    if not lo_on and t < b:
-        return 0.0
-    if hi_on and t > half - w:
-        u = (t - (half - w)) / (2.0 * w)
-        t0 = half - w
-        y0 = -half * math.log(t0) + c
-        d0 = -half * (2.0 * w) / t0
-        s0 = half * (2.0 * w / t0) ** 2
-        return _quintic_d(u, y0, d0, s0, 0.0, 0.0, 0.0) / (2.0 * w)
-    val = -half * math.log(t) + c
-    if val > a:
-        return 0.0  # clamped to the plateau
-    return -half / t
+    kind, data = _psi_piece(t, p)
+    if kind == "blend":
+        return _quintic_d(*data[1:]) / data[0]
+    if kind == "log":
+        return -(0.5 * p[1]) / t
+    return 0.0
 
 
-# ---------------------------------------------------------------------------
-# Plane rotations and the local deformation map
-# ---------------------------------------------------------------------------
+def _radius(x):
+    # Sum of squares in index order (np.cumsum is sequential).
+    return math.sqrt(np.cumsum(x * x)[-1])
 
 
-@njit(cache=True)
 def rotate_in_plane(x, e1, e2, theta):
     """Rotate x by theta in the oriented plane spanned by (e1, e2).
 
     The plane basis must be orthonormal; the complement is fixed
     pointwise.  Cost is two dot products and two axpy updates.
     """
-    c1 = 0.0
-    c2 = 0.0
-    for i in range(x.shape[0]):
-        c1 += e1[i] * x[i]
-        c2 += e2[i] * x[i]
-    ct = math.cos(theta)
-    st = math.sin(theta)
-    out = x.copy()
-    for i in range(x.shape[0]):
-        out[i] += (ct - 1.0) * (c1 * e1[i] + c2 * e2[i])
-        out[i] += st * (c1 * e2[i] - c2 * e1[i])
+    c1 = e1 @ x
+    c2 = e2 @ x
+    out = x + (math.cos(theta) - 1.0) * (c1 * e1 + c2 * e2)
+    out += math.sin(theta) * (c1 * e2 - c2 * e1)
     return out
 
 
-@njit(cache=True)
 def h_apply(x, p, e1, e2):
     """Local rotation by the profile angle: rotate x by psi(|x|)."""
-    r = 0.0
-    for i in range(x.shape[0]):
-        r += x[i] * x[i]
-    r = math.sqrt(r)
-    theta = psi_eval_params(r, p)
+    theta = psi_eval_params(_radius(x), p)
     if theta == 0.0:
         return x.copy()
     return rotate_in_plane(x, e1, e2, theta)
 
 
-@njit(cache=True)
 def h_jacobian(x, p, e1, e2):
     """Jacobian of :func:`h_apply` at x.
 
@@ -329,61 +183,26 @@ def h_jacobian(x, p, e1, e2):
     r * psi'(r), so the formula stays finite arbitrarily close to the
     origin and across the log branch.
     """
-    n = x.shape[0]
-    r = 0.0
-    for i in range(n):
-        r += x[i] * x[i]
-    r = math.sqrt(r)
+    r = _radius(x)
     theta = psi_eval_params(r, p)
     ct = math.cos(theta)
     st = math.sin(theta)
-
-    out = np.zeros((n, n))
-    for i in range(n):
-        out[i, i] = 1.0
-        for j in range(n):
-            out[i, j] += (ct - 1.0) * (e1[i] * e1[j] + e2[i] * e2[j])
-            out[i, j] += st * (e2[i] * e1[j] - e1[i] * e2[j])
+    out = np.eye(x.shape[0]) + (ct - 1.0) * (np.outer(e1, e1) + np.outer(e2, e2))
+    out += st * (np.outer(e2, e1) - np.outer(e1, e2))
     if r == 0.0:
         return out
-
     rslope = r * psi_slope_params(r, p)
     if rslope == 0.0:
         return out
-
-    # J R x with J = e2 e1^T - e1 e2^T acting in the plane.
-    c1 = 0.0
-    c2 = 0.0
-    for i in range(n):
-        c1 += e1[i] * x[i]
-        c2 += e2[i] * x[i]
-    # Rotated plane coordinates of x.
-    rc1 = ct * c1 - st * c2
-    rc2 = st * c1 + ct * c2
+    # J R x with J = e2 e1^T - e1 e2^T, from the rotated plane coordinates of x.
+    c1 = e1 @ x
+    c2 = e2 @ x
+    jrx = (ct * c1 - st * c2) * e2 - (st * c1 + ct * c2) * e1
     inv_r = 1.0 / r
-    for i in range(n):
-        jrx = rc1 * e2[i] - rc2 * e1[i]
-        for j in range(n):
-            out[i, j] += rslope * jrx * x[j] * inv_r * inv_r
+    out += np.outer(rslope * jrx, x) * inv_r * inv_r
     return out
 
 
-# ---------------------------------------------------------------------------
-# Quadratic cone containment margins
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _min_eig_combo(s_tgt, s_img, lam):
-    n = s_tgt.shape[0]
-    m = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            m[i, j] = s_tgt[i, j] - lam * s_img[i, j]
-    return np.linalg.eigvalsh(m)[0]
-
-
-@njit(cache=True)
 def containment_margin(s_img, s_tgt, lam_hi, tol):
     """Best S-procedure margin: max over lam >= 0 of min-eig(S_tgt - lam S_img).
 
@@ -391,42 +210,27 @@ def containment_margin(s_img, s_tgt, lam_hi, tol):
     functions), so golden-section search over [0, lam_hi] converges to
     the global maximum.  Returns (margin, lam_star).
     """
-    a = 0.0
-    b = lam_hi
-    fa = _min_eig_combo(s_tgt, s_img, a)
-    fb = _min_eig_combo(s_tgt, s_img, b)
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1 = _min_eig_combo(s_tgt, s_img, x1)
-    f2 = _min_eig_combo(s_tgt, s_img, x2)
+
+    def f(lam):
+        return np.linalg.eigvalsh(s_tgt - lam * s_img)[0]
+
+    a, b = 0.0, lam_hi
+    fa, fb = f(a), f(b)
+    x1, x2 = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
+    f1, f2 = f(x1), f(x2)
     while b - a > tol:
         if f1 < f2:
-            a = x1
-            x1 = x2
-            f1 = f2
+            a, x1, f1 = x1, x2, f2
             x2 = a + _INVPHI * (b - a)
-            f2 = _min_eig_combo(s_tgt, s_img, x2)
+            f2 = f(x2)
         else:
-            b = x2
-            x2 = x1
-            f2 = f1
+            b, x2, f2 = x2, x1, f1
             x1 = b - _INVPHI * (b - a)
-            f1 = _min_eig_combo(s_tgt, s_img, x1)
-    best = f1
-    lam = x1
-    if f2 > best:
-        best = f2
-        lam = x2
-    if fa > best:
-        best = fa
-        lam = 0.0
-    if fb > best:
-        best = fb
-        lam = lam_hi
-    return best, lam
+            f1 = f(x1)
+    # Ties go to the earlier candidate.
+    return max((f1, x1), (f2, x2), (fa, 0.0), (fb, lam_hi), key=lambda c: c[0])
 
 
-@njit(cache=True)
 def grid_domination_margins(diag, thetas, n, tau, e1, e2, lam_hi, tol):
     """Containment margins of the n-step rotated maps over a theta grid.
 
@@ -436,79 +240,47 @@ def grid_domination_margins(diag, thetas, n, tau, e1, e2, lam_hi, tol):
     records the S-procedure margin certifying that the map sends the
     cone strictly inside itself.  Normalizing by the threshold keeps the
     margins and the maximizing multipliers on a common scale across
-    exponents and thresholds.
-
-    Returns an array of shape (len(thetas), 2): margin and maximizing
-    multiplier per grid point.
+    exponents and thresholds.  Returns (margin, multiplier) per theta,
+    as an array of shape (len(thetas), 2).
     """
     dim = diag.shape[0]
+    on_diag = np.diag_indices(dim)
+    plane = np.outer(e1, e1) + np.outer(e2, e2)
+    gen = np.outer(e2, e1) - np.outer(e1, e2)
     out = np.zeros((thetas.shape[0], 2))
     inv_tau_n = tau ** (-float(n))
     for k in range(thetas.shape[0]):
-        theta = thetas[k]
-        ct = math.cos(theta)
-        st = math.sin(theta)
-        r = np.eye(dim)
-        for i in range(dim):
-            for j in range(dim):
-                r[i, j] += (ct - 1.0) * (e1[i] * e1[j] + e2[i] * e2[j])
-                r[i, j] += st * (e2[i] * e1[j] - e1[i] * e2[j])
-        step = np.zeros((dim, dim))
-        for i in range(dim):
-            for j in range(dim):
-                step[i, j] = r[i, j] * diag[j]
-        m = mat_pow_int(step, n)
-        for i in range(dim):
-            for j in range(dim):
-                m[i, j] *= inv_tau_n
+        r = np.eye(dim) + (math.cos(thetas[k]) - 1.0) * plane
+        r += math.sin(thetas[k]) * gen
+        m = mat_pow_int(r * diag, n) * inv_tau_n
         minv = np.linalg.inv(m)
-        s_tgt = mat_mul(m.T.copy(), m)
-        for i in range(dim):
-            s_tgt[i, i] -= 1.0
-        s_img = mat_mul(minv.T.copy(), minv)
-        for i in range(dim):
-            for j in range(dim):
-                s_img[i, j] = -s_img[i, j]
-        for i in range(dim):
-            s_img[i, i] += 1.0
-        margin, lam = containment_margin(s_img, s_tgt, lam_hi, tol)
-        out[k, 0] = margin
-        out[k, 1] = lam
+        s_tgt = mat_mul(m.T, m)
+        s_tgt[on_diag] -= 1.0
+        s_img = -mat_mul(minv.T, minv)
+        s_img[on_diag] += 1.0
+        out[k] = containment_margin(s_img, s_tgt, lam_hi, tol)
     return out
 
 
-# ---------------------------------------------------------------------------
-# Orthonormalized cocycle products for splitting extraction
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
 def _qr_pos(a):
     """QR with the sign convention diag(R) >= 0, for reproducibility."""
     q, r = np.linalg.qr(a)
-    for j in range(r.shape[0]):
-        if r[j, j] < 0.0:
-            for i in range(q.shape[0]):
-                q[i, j] = -q[i, j]
-    return q
+    return q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
 
 
-@njit(cache=True)
 def qr_product_forward(jacs, q0):
     """Push a frame through a Jacobian sequence, re-orthonormalizing.
 
     jacs has shape (N, d, d); the frame q0 (d, k) is mapped through
-    jacs[0], then jacs[1], ..., with a thin QR after every step.  The
-    span converges to the dominant k-dimensional subspace of the
-    product.
+    jacs[0], then jacs[1], ..., with a thin QR after every step.  The span
+    converges to the dominant k-dimensional subspace of the product.
     """
     q = q0.copy()
-    for s in range(jacs.shape[0]):
-        q = _qr_pos(mat_mul(jacs[s], q))
+    for jac in jacs:
+        q = _qr_pos(mat_mul(jac, q))
     return q
 
 
-@njit(cache=True)
 def qr_product_pullback(jacs, q0):
     """Pull a frame back through a Jacobian sequence, re-orthonormalizing.
 
@@ -518,45 +290,6 @@ def qr_product_pullback(jacs, q0):
     of the forward product.
     """
     q = q0.copy()
-    for s in range(jacs.shape[0] - 1, -1, -1):
-        q = _qr_pos(np.linalg.solve(jacs[s], q))
+    for jac in jacs[::-1]:
+        q = _qr_pos(np.linalg.solve(jac, q))
     return q
-
-
-# ---------------------------------------------------------------------------
-
-
-def warm_up() -> None:
-    """Trigger JIT compilation of every kernel on tiny inputs.
-
-    Calling this once up front keeps compilation latency out of timed
-    sections (benchmarks, the acceptance suite's runtime budgets).  It
-    is a no-op in the fallback backend beyond the cheap calls
-    themselves.
-    """
-    v = np.zeros(9)
-    v2 = np.zeros(9)
-    v[0] = 1.0
-    v2[1] = 1.0
-    a = np.eye(9)
-    mat_mul(a, a)
-    mat_vec(a, v)
-    mat_pow_int(a, 2)
-    spectral_norm(a)
-    bracket9(v, v2)
-    bch9(v, v2)
-    p = np.array([0.1, 0.05, 4.5e-4, 1e-3, 1.1e-4, 1.0, 1.0])
-    psi_eval_params(1e-3, p)
-    psi_slope_params(1e-3, p)
-    rotate_in_plane(v, v, v2, 0.3)
-    h_apply(0.01 * v, p, v, v2)
-    h_jacobian(0.01 * v, p, v, v2)
-    s = np.eye(9)
-    containment_margin(s, s, 2.0, 1e-6)
-    grid_domination_margins(
-        np.ones(9), np.array([0.0, 0.1]), 1, 0.5, v, v2, 2.0, 1e-6
-    )
-    jacs = np.stack((a, a))
-    q0 = np.eye(9)[:, :2].copy()
-    qr_product_forward(jacs, q0)
-    qr_product_pullback(jacs, q0)

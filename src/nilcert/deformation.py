@@ -51,9 +51,6 @@ __all__ = [
     "make_profile",
     "psi_eval",
     "psi_slope",
-    "h_eval",
-    "h_jacobian",
-    "deformed_map",
 ]
 
 # Narrower blend windows than this cannot be trusted in float64: the
@@ -332,10 +329,6 @@ class LocalRotationMap:
     def support_radius(self) -> float:
         return self.profile.support_radius
 
-    def in_support(self, x) -> bool:
-        r = float(np.linalg.norm(np.asarray(x, dtype=float) - self.center))
-        return r < self.support_radius
-
     def apply(self, x) -> np.ndarray:
         v = np.asarray(x, dtype=float) - self.center
         out = _kernels.h_apply(v, self.profile.params, self.plane.e1, self.plane.e2)
@@ -362,16 +355,6 @@ class LocalRotationMap:
         """
         v = np.asarray(x, dtype=float) - self.center
         return _kernels.h_jacobian(v, self.profile.params, self.plane.e1, self.plane.e2)
-
-
-def h_eval(rotation: LocalRotationMap, x) -> np.ndarray:
-    """Value of the local rotation at ``x``."""
-    return rotation.apply(x)
-
-
-def h_jacobian(rotation: LocalRotationMap, x) -> np.ndarray:
-    """Jacobian of the local rotation at ``x``."""
-    return rotation.jacobian(x)
 
 
 # ---------------------------------------------------------------------------
@@ -422,17 +405,6 @@ class DeformedMap:
         """
         lo, hi = self.auto.expansion_bounds()
         return max(hi, 1.0 / lo)
-
-    def lemma_ball_radius(self, n: int) -> float:
-        """Radius ``eps * K^(2n)`` of the worst-case n-step excursion ball.
-
-        This is the crude a priori bound on how far 2n steps can carry
-        the support ball; it is reported (not enforced) because it is
-        astronomically conservative for the parameters of interest,
-        while orbit-level reduction keeps actual excursions inside the
-        chart.
-        """
-        return self.rotation.profile.eps * self.expansion_constant ** (2 * n)
 
     # -- chart dynamics ---------------------------------------------------------
 
@@ -508,18 +480,3 @@ class DeformedMap:
             out[k + 1] = cur
         return out
 
-
-def deformed_map(
-    auto: AutomorphismSpec,
-    rotation: LocalRotationMap,
-    lattice: Optional[LatticeSpec] = None,
-    chart_radius: float = 0.3,
-) -> DeformedMap:
-    """Build the deformed map ``h o B``, validating chart fit.
-
-    Raises :class:`DeformationError` when the rotation support does not
-    fit strictly inside the chart.
-    """
-    return DeformedMap(
-        auto=auto, rotation=rotation, lattice=lattice, chart_radius=chart_radius
-    )

@@ -33,20 +33,17 @@ from .algebraic_core import EigenData, poly_mulmod
 
 __all__ = [
     "DIM",
-    "BASIS_LABELS",
     "GroupElement",
     "AutomorphismSpec",
     "LatticeSpec",
     "bracket",
     "bch_multiply",
     "group_inverse",
-    "apply_automorphism",
     "reduce_mod_lattice",
     "frame_derivative",
 ]
 
 DIM = 9
-BASIS_LABELS = ("x1", "y1", "z1", "x2", "y2", "z2", "x3", "y3", "z3")
 
 # Index helpers: slot s of factor i sits at 3*i + s with s in {0: x, 1: y, 2: z}.
 X_SLOTS = (0, 3, 6)
@@ -176,19 +173,6 @@ class AutomorphismSpec:
         """(Smallest, largest) singular value of the automorphism."""
         a = np.abs(self.diag)
         return float(a.min()), float(a.max())
-
-
-def apply_automorphism(auto: AutomorphismSpec, x):
-    """Apply a diagonal automorphism in logarithmic coordinates.
-
-    Group automorphisms act linearly on the Lie algebra, and the
-    exponential chart intertwines the two actions, so this is a single
-    diagonal scaling.  Accepts and returns the type of ``x``
-    (:class:`GroupElement` or a bare vector).
-    """
-    if isinstance(x, GroupElement):
-        return GroupElement(auto.apply(x.log))
-    return auto.apply(x)
 
 
 # ---------------------------------------------------------------------------

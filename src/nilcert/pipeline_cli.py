@@ -10,7 +10,10 @@ deterministic for a fixed config and seed (byte-identical up to the
 timestamp field).
 
 Exit codes: 0 all checks pass, 2 invalid input (config or matrix),
-3 certification failure, 4 internal error.
+3 certification failure, 4 internal error, 141 standard output closed
+before the command finished writing (as in ``nilcert plan | head -1``;
+128 + SIGPIPE, the code a shell reports for a process that SIGPIPE
+ended).
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import dataclasses
 import datetime
 import json
 import math
+import os
 import sys
 import traceback
 from dataclasses import dataclass, field
@@ -82,6 +86,10 @@ EXIT_PASS = 0
 EXIT_INVALID_INPUT = 2
 EXIT_CERTIFICATION_FAILURE = 3
 EXIT_INTERNAL_ERROR = 4
+EXIT_BROKEN_PIPE = 141
+
+# The plane every planned rotation of the construction turns.
+_ROTATION_PLANE = RotationPlane.from_basis_indices(3, 8)
 
 REPORT_SCHEMA_VERSION = "1"
 
@@ -314,6 +322,15 @@ def _stage_nilmanifold(
     return frag, ok, auto, lattice
 
 
+def _annuli(
+    config: PipelineConfig, eig: EigenData
+) -> tuple[AnnulusSpec, AnnulusSpec]:
+    """The configured annuli, or the defaults derived from the roots."""
+    if config.annuli is not None:
+        return AnnulusSpec(*config.annuli[0]), AnnulusSpec(*config.annuli[1])
+    return _default_annuli(eig, config.surplus)
+
+
 def _default_annuli(
     eig: EigenData, surplus: float
 ) -> tuple[AnnulusSpec, AnnulusSpec]:
@@ -433,8 +450,7 @@ def _stage_deformation(
     except ProfileError as exc:
         frag["error"] = f"profile construction failed: {exc}"
         return frag, False, None
-    plane = RotationPlane.from_basis_indices(3, 8)
-    rotation = LocalRotationMap(profile=profile, plane=plane)
+    rotation = LocalRotationMap(profile=profile, plane=_ROTATION_PLANE)
     try:
         dyn = DeformedMap(
             auto=auto,
@@ -457,7 +473,7 @@ def _stage_deformation(
     }
     # Derivative at the fixed point must be exactly the planned rotation.
     d0 = dyn.jacobian_at(np.zeros(DIM))
-    planned = plane.rotation_matrix(angle) @ np.diag(auto.diag)
+    planned = _ROTATION_PLANE.rotation_matrix(angle) @ np.diag(auto.diag)
     fixed_point_dev = float(np.max(np.abs(d0 - planned)))
     # Sampled rotation-distance and volume checks inside the support.
     sup_dev = 0.0
@@ -467,7 +483,7 @@ def _stage_deformation(
         x *= rng.uniform(0.0, profile.support_radius * 1.2) / np.linalg.norm(x)
         jac = rotation.jacobian(x)
         r = float(np.linalg.norm(x))
-        rot = plane.rotation_matrix(float(psi_eval(profile, r)))
+        rot = _ROTATION_PLANE.rotation_matrix(float(psi_eval(profile, r)))
         sup_dev = max(sup_dev, float(np.linalg.norm(jac - rot, 2)))
         det_dev = max(det_dev, abs(float(np.linalg.det(jac)) - 1.0))
     frag["fixed_point_derivative_dev"] = fixed_point_dev
@@ -492,12 +508,11 @@ def _stage_certification(
     annuli: tuple[AnnulusSpec, AnnulusSpec],
 ) -> tuple[dict, bool, Optional[object]]:
     """Uniform domination exponent plus robustness radius for the family."""
-    plane = RotationPlane.from_basis_indices(3, 8)
     frag: dict = {"status": "fail"}
     try:
         witness = find_domination_exponent(
             auto.diag,
-            plane,
+            _ROTATION_PLANE,
             angle,
             annuli,
             n_max=config.n_max,
@@ -520,7 +535,7 @@ def _stage_certification(
     frag["margin_history"] = [list(r) for r in witness.history]
     rob = robustness_radius(
         auto.diag,
-        plane,
+        _ROTATION_PLANE,
         angle,
         annuli,
         n=witness.exponent,
@@ -628,7 +643,6 @@ def _stage_sweep(
     angle: float,
 ) -> tuple[dict, bool]:
     """Splitting deviation ladder over support scales, plus zero control."""
-    plane = RotationPlane.from_basis_indices(3, 8)
     warnings: list[str] = []
 
     def dynamics_for(scale: float):
@@ -643,7 +657,7 @@ def _stage_sweep(
             )
         return DeformedMap(
             auto=auto,
-            rotation=LocalRotationMap(profile=profile, plane=plane),
+            rotation=LocalRotationMap(profile=profile, plane=_ROTATION_PLANE),
             lattice=lattice,
             chart_radius=config.chart_radius,
         )
@@ -792,11 +806,7 @@ def run_pipeline(config: PipelineConfig) -> dict:
     if not ok:
         failures.append("nilmanifold")
 
-    if config.annuli is not None:
-        annuli = (AnnulusSpec(*config.annuli[0]), AnnulusSpec(*config.annuli[1]))
-    else:
-        annuli = _default_annuli(eig, config.surplus)
-
+    annuli = _annuli(config, eig)
     plan = None
     if ok:
         frag, ok_p, plan = _stage_planner(config, eig, auto, annuli)
@@ -871,27 +881,36 @@ def cmd_certify(config: PipelineConfig) -> int:
     return EXIT_CERTIFICATION_FAILURE
 
 
-def cmd_sweep_support(config: PipelineConfig) -> int:
-    """Run matrix/planning prerequisites, then the sweep; write its CSV."""
+def _planned(config: PipelineConfig):
+    """The matrix, nilmanifold and planner stages that ``sweep-support``
+    and ``plan`` run first.
+
+    Returns ``(exit_code, None)`` after printing why, when the matrix or
+    the lattice fails, else ``(None, (auto, lattice, planner_frag, ok,
+    plan))``.
+    """
     frag, ok, eig = _stage_matrix(config)
     if not ok:
         print(json.dumps(frag, indent=2, sort_keys=True))
-        return EXIT_INVALID_INPUT
+        return EXIT_INVALID_INPUT, None
     _, ok, auto, lattice = _stage_nilmanifold(eig)
     if not ok:
         print("lattice construction failed")
-        return EXIT_CERTIFICATION_FAILURE
-    annuli = (
-        (AnnulusSpec(*config.annuli[0]), AnnulusSpec(*config.annuli[1]))
-        if config.annuli is not None
-        else _default_annuli(eig, config.surplus)
-    )
-    pfrag, ok, plan = _stage_planner(config, eig, auto, annuli)
+        return EXIT_CERTIFICATION_FAILURE, None
+    frag, ok, plan = _stage_planner(config, eig, auto, _annuli(config, eig))
+    return None, (auto, lattice, frag, ok, plan)
+
+
+def cmd_sweep_support(config: PipelineConfig) -> int:
+    """Run matrix/planning prerequisites, then the sweep; write its CSV."""
+    code, planned = _planned(config)
+    if planned is None:
+        return code
+    auto, lattice, pfrag, ok, plan = planned
     if not ok:
         print(f"planning failed: {pfrag.get('error')}")
         return EXIT_CERTIFICATION_FAILURE
-    angle = plan.steps[-1].angle
-    frag, ok = _stage_sweep(config, auto, lattice, angle)
+    frag, ok = _stage_sweep(config, auto, lattice, plan.steps[-1].angle)
     out_dir = Path(config.out_dir)
     _write_csv(
         out_dir / "curves" / "support_sweep.csv",
@@ -911,20 +930,10 @@ def cmd_sweep_support(config: PipelineConfig) -> int:
 
 def cmd_plan(config: PipelineConfig) -> int:
     """Run the planner alone and print the plan as JSON."""
-    frag, ok, eig = _stage_matrix(config)
-    if not ok:
-        print(json.dumps(frag, indent=2, sort_keys=True))
-        return EXIT_INVALID_INPUT
-    _, ok, auto, _lattice = _stage_nilmanifold(eig)
-    if not ok:
-        print("lattice construction failed")
-        return EXIT_CERTIFICATION_FAILURE
-    annuli = (
-        (AnnulusSpec(*config.annuli[0]), AnnulusSpec(*config.annuli[1]))
-        if config.annuli is not None
-        else _default_annuli(eig, config.surplus)
-    )
-    frag, ok, _plan = _stage_planner(config, eig, auto, annuli)
+    code, planned = _planned(config)
+    if planned is None:
+        return code
+    _, _, frag, ok, _ = planned
     print(json.dumps(frag, indent=2, sort_keys=True))
     return EXIT_PASS if ok else EXIT_CERTIFICATION_FAILURE
 
@@ -1012,7 +1021,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     try:
-        return _COMMANDS[args.command](config)
+        code = _COMMANDS[args.command](config)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # Later writes, including the interpreter's final flush, go nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ConfigError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT

@@ -1,5 +1,5 @@
 """Shared fixtures: certified spectral data, the planned deformation,
-warm numerical kernels, and the acceptance-summary reporter."""
+and the acceptance-summary reporter."""
 
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ from nilcert import (
     plan_center_collapse,
 )
 from nilcert.spectral_planner import AnnulusSpec, LabeledSpectrum
-from nilcert import _kernels
 from nilcert.pipeline_cli import PipelineConfig, run_pipeline
 
 settings.register_profile(
@@ -32,12 +31,6 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("ci")
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Compile (or load from cache) every jitted kernel before timing."""
-    _kernels.warm_up()
 
 
 @pytest.fixture(scope="session")

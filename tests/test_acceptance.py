@@ -33,8 +33,6 @@ from nilcert.cone_certifier import (
 from nilcert.deformation import (
     DeformedMap,
     LocalRotationMap,
-    h_eval,
-    h_jacobian,
     make_profile,
     psi_eval,
     psi_slope,
@@ -97,7 +95,7 @@ def test_criterion_2_deformation_derivatives(
     for _ in range(1000):
         x = rng.normal(size=DIM)
         x *= rng.uniform(0.0, profile.support_radius * 1.2) / np.linalg.norm(x)
-        jac = h_jacobian(rot, x)
+        jac = rot.jacobian(x)
         r = float(np.linalg.norm(x))
         target = rotation_plane.rotation_matrix(float(psi_eval(profile, r)))
         rot_dev = max(rot_dev, float(np.linalg.norm(jac - target, 2)))
@@ -115,12 +113,12 @@ def test_criterion_2_deformation_derivatives(
         for _ in range(5):
             x = rng.normal(size=DIM)
             x *= r / np.linalg.norm(x)
-            jac = h_jacobian(rot, x)
+            jac = rot.jacobian(x)
             fd = np.empty((DIM, DIM))
             for j in range(DIM):
                 step = np.zeros(DIM)
                 step[j] = h
-                fd[:, j] = (h_eval(rot, x + step) - h_eval(rot, x - step)) / (
+                fd[:, j] = (rot.apply(x + step) - rot.apply(x - step)) / (
                     2 * h
                 )
             denom = max(1.0, float(np.linalg.norm(jac)))

@@ -11,8 +11,6 @@ from nilcert.deformation import (
     LocalRotationMap,
     ProfileError,
     RotationPlane,
-    h_eval,
-    h_jacobian,
     make_profile,
     psi_eval,
     psi_slope,
@@ -107,8 +105,8 @@ def test_local_rotation_identity_outside_support(profile):
     for _ in range(10):
         x = rng.normal(size=DIM)
         x *= (profile.support_radius + 0.05) / np.linalg.norm(x)
-        assert np.array_equal(h_eval(rot, x), x)
-        assert np.array_equal(h_jacobian(rot, x), np.eye(DIM))
+        assert np.array_equal(rot.apply(x), x)
+        assert np.array_equal(rot.jacobian(x), np.eye(DIM))
 
 
 def test_local_rotation_preserves_radius_and_volume(profile):
@@ -119,9 +117,9 @@ def test_local_rotation_preserves_radius_and_volume(profile):
     for _ in range(50):
         x = rng.normal(size=DIM)
         x *= rng.uniform(0, profile.support_radius) / np.linalg.norm(x)
-        y = h_eval(rot, x)
+        y = rot.apply(x)
         assert abs(np.linalg.norm(y) - np.linalg.norm(x)) < 1e-12
-        assert abs(np.linalg.det(h_jacobian(rot, x)) - 1.0) < 1e-9
+        assert abs(np.linalg.det(rot.jacobian(x)) - 1.0) < 1e-9
 
 
 def _fd_check(rot, radii, seed, h=1e-7, tol=1e-6):
@@ -130,8 +128,8 @@ def _fd_check(rot, radii, seed, h=1e-7, tol=1e-6):
         for _ in range(6):
             x = rng.normal(size=DIM)
             x *= r / np.linalg.norm(x)
-            jac = h_jacobian(rot, x)
-            fd = _fd_jacobian(lambda p: h_eval(rot, p), x, h=h)
+            jac = rot.jacobian(x)
+            fd = _fd_jacobian(rot.apply, x, h=h)
             denom = max(1.0, float(np.linalg.norm(jac)))
             assert np.linalg.norm(jac - fd) / denom < tol
 
@@ -180,7 +178,7 @@ def test_jacobian_stays_near_pointwise_rotation(profile):
     for _ in range(300):
         x = rng.normal(size=DIM)
         x *= rng.uniform(0, profile.support_radius * 1.2) / np.linalg.norm(x)
-        jac = h_jacobian(rot, x)
+        jac = rot.jacobian(x)
         r = float(np.linalg.norm(x))
         target = plane.rotation_matrix(float(psi_eval(profile, r)))
         worst = max(worst, float(np.linalg.norm(jac - target, 2)))

@@ -1,12 +1,21 @@
 """Tests for the pipeline configuration, report, and CLI contract."""
 
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import nilcert
 from nilcert.pipeline_cli import (
     ConfigError,
+    EXIT_BROKEN_PIPE,
     EXIT_CERTIFICATION_FAILURE,
     EXIT_INVALID_INPUT,
     EXIT_PASS,
@@ -324,3 +333,65 @@ def test_seed_and_grid_flags_override_config(tmp_path, capsys):
     code = main(["plan", "--config", cfg, "--seed", "7", "--grid", "512"])
     capsys.readouterr()
     assert code == EXIT_PASS
+
+
+def test_closed_stdout_exits_without_traceback():
+    # The read end of stdout's pipe is closed before the command starts,
+    # as when ``nilcert verify-matrix | true`` has already finished.
+    env = dict(os.environ)
+    src = str(Path(nilcert.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "nilcert.pipeline_cli", "verify-matrix"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_BROKEN_PIPE
+    assert proc.stderr == b""
+
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**4), 10**4),
+    st.floats(),
+    st.text(max_size=3),
+)
+_VALUES = st.one_of(
+    _SCALARS,
+    st.lists(_SCALARS, max_size=3),
+    st.lists(st.lists(_SCALARS, max_size=3), max_size=3),
+)
+_CONFIGS = st.fixed_dictionaries(
+    {},
+    optional={
+        **{f.name: _VALUES for f in dataclasses.fields(PipelineConfig)},
+        "matrix": st.one_of(
+            st.lists(
+                st.lists(st.integers(-20, 20), min_size=3, max_size=3),
+                min_size=3,
+                max_size=3,
+            ),
+            _VALUES,
+        ),
+        "unknown_key": _VALUES,
+    },
+)
+
+
+@given(data=_CONFIGS)
+def test_verify_matrix_fuzzed_configs_never_exit_internal_error(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(data))
+        code = main(["verify-matrix", "--config", str(path)])
+    assert code in (EXIT_PASS, EXIT_INVALID_INPUT, EXIT_CERTIFICATION_FAILURE)
