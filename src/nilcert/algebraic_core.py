@@ -22,7 +22,6 @@ from typing import Optional, Sequence
 __all__ = [
     "IntegerMatrixSpec",
     "Interval",
-    "EnclosedValue",
     "EigenData",
     "ChainReport",
     "RootIsolationError",
@@ -138,17 +137,6 @@ class Interval:
     def point(x: Fraction | int | float) -> "Interval":
         x = Fraction(x)
         return Interval(x, x)
-
-
-@dataclass(frozen=True)
-class EnclosedValue:
-    """A floating point value together with a rigorous enclosure of it."""
-
-    value: float
-    interval: Interval
-
-    def __float__(self) -> float:
-        return self.value
 
 
 # ---------------------------------------------------------------------------
@@ -610,18 +598,17 @@ def conjugate_eval(
     coeffs: Sequence[Fraction | int | float],
     index: int,
     e: EigenData,
-) -> EnclosedValue:
+) -> Interval:
     """Evaluate ``p0 + p1 r + p2 r^2`` at the ``index``-th eigenvalue.
 
     The evaluation is carried out in exact interval arithmetic over the
-    recorded enclosure of the root, so the returned
-    :class:`EnclosedValue` carries a rigorous interval along with its
-    floating point midpoint.  Rational (or exactly representable float)
-    coefficients keep the enclosure exact.
+    recorded enclosure of the root, so the returned :class:`Interval`
+    rigorously encloses the value; its midpoint is the floating point
+    estimate.  Rational (or exactly representable float) coefficients
+    keep the enclosure exact.
     """
     if len(coeffs) != 3:
         raise ValueError("expected a coefficient triple (p0, p1, p2)")
     p0, p1, p2 = (Fraction(c) for c in coeffs)
     r = e.interval(index)
-    acc = (r * r).scale(p2) + r.scale(p1) + Interval.point(p0)
-    return EnclosedValue(value=float(acc.mid), interval=acc)
+    return (r * r).scale(p2) + r.scale(p1) + Interval.point(p0)

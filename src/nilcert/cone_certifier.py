@@ -493,22 +493,17 @@ def cocycle_product(dyn, x: np.ndarray, n: int) -> CocycleProduct:
     """
     if n < 0:
         raise ValueError("step count must be nonnegative")
-    y = np.asarray(x, dtype=float).copy()
-    start = y.copy()
-    factors = []
-    for _ in range(n):
-        y, jac = dyn.step_with_jacobian(y)
-        factors.append(jac)
-    return CocycleProduct(factors=tuple(factors), start=start, end=y.copy())
+    start = np.asarray(x, dtype=float).copy()
+    end, factors = _walk(dyn.step_with_jacobian, start, n)
+    return CocycleProduct(factors=tuple(factors), start=start, end=end.copy())
 
 
 class LinearDynamics:
     """Orbit interface for the undeformed automorphism.
 
-    Mirrors the deformed map's API (step, orbits, Jacobians) with the
-    constant block-diagonal derivative, so rate measurements and
-    splitting extraction run identically on the deformed and undeformed
-    systems.
+    Mirrors the deformed map's stepping API with the constant
+    block-diagonal derivative, so rate measurements and splitting
+    extraction run identically on the deformed and undeformed systems.
     """
 
     def __init__(self, auto: AutomorphismSpec, lattice: Optional[LatticeSpec] = None):
@@ -530,22 +525,10 @@ class LinearDynamics:
     def step_inverse(self, x: np.ndarray) -> np.ndarray:
         return self._reduce(self.auto.apply_inverse(np.asarray(x, dtype=float)))
 
-    def jacobian_at(self, x: np.ndarray) -> np.ndarray:
-        return self._matrix.copy()
-
-    def orbit(self, x: np.ndarray, n: int) -> np.ndarray:
-        out = np.empty((n + 1, x.shape[0]))
-        out[0] = np.asarray(x, dtype=float)
-        for k in range(n):
-            out[k + 1] = self.step(out[k])
-        return out
-
-    def orbit_inverse(self, x: np.ndarray, n: int) -> np.ndarray:
-        out = np.empty((n + 1, x.shape[0]))
-        out[0] = np.asarray(x, dtype=float)
-        for k in range(n):
-            out[k + 1] = self.step_inverse(out[k])
-        return out
+    def step_inverse_with_jacobian(
+        self, y: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        return self.step_inverse(y), self._matrix.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -603,16 +586,26 @@ def subspace_intersection(q1: np.ndarray, q2: np.ndarray, dim: int) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 
+def _walk(step, y: np.ndarray, steps: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Take ``steps`` steps of ``step`` (a ``*_with_jacobian`` method)
+    from ``y``; return the end point and the Jacobians in walk order."""
+    jacs = []
+    for _ in range(steps):
+        y, jac = step(y)
+        jacs.append(jac)
+    return y, jacs
+
+
 def _jacobians_backward(dyn, x: np.ndarray, steps: int) -> np.ndarray:
     """Jacobians ordered to push a frame from g^-steps(x) up to x."""
-    ys = dyn.orbit_inverse(x, steps)
-    return np.stack([dyn.jacobian_at(ys[j]) for j in range(steps, 0, -1)])
+    _, jacs = _walk(dyn.step_inverse_with_jacobian, x, steps)
+    return np.stack(jacs[::-1])
 
 
 def _jacobians_forward(dyn, x: np.ndarray, steps: int) -> np.ndarray:
     """Jacobians along the forward orbit from x, for pullback."""
-    ys = dyn.orbit(x, steps)
-    return np.stack([dyn.jacobian_at(ys[j]) for j in range(steps)])
+    _, jacs = _walk(dyn.step_with_jacobian, x, steps)
+    return np.stack(jacs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -655,7 +648,8 @@ def extract_splitting(
     slow bundle is the limit of pulling a complementary seed back along
     the forward orbit.  Extraction depth increases by ``k_step`` until
     the principal-angle increment between successive depths drops below
-    ``tol`` or the budget ``k_max`` is reached.
+    ``tol`` or the budget ``k_max`` is reached.  Each orbit is walked
+    once: a deeper round extends both walks by ``k_step`` steps.
     """
     x = np.asarray(x, dtype=float)
     fast_seed = _axes_frame(fast_axes, x.shape[0])
@@ -664,9 +658,17 @@ def extract_splitting(
     fast = slow = None
     gap = math.inf
     steps = k_start
+    # Both walks start at x and grow with the depth; jb is nearest first.
+    yb = yf = x
+    jb: list[np.ndarray] = []
+    jf: list[np.ndarray] = []
     while steps <= k_max:
-        fast = qr_product_forward(_jacobians_backward(dyn, x, steps), fast_seed)
-        slow = qr_product_pullback(_jacobians_forward(dyn, x, steps), slow_seed)
+        yb, more = _walk(dyn.step_inverse_with_jacobian, yb, steps - len(jb))
+        jb += more
+        yf, more = _walk(dyn.step_with_jacobian, yf, steps - len(jf))
+        jf += more
+        fast = qr_product_forward(np.stack(jb[::-1]), fast_seed)
+        slow = qr_product_pullback(np.stack(jf), slow_seed)
         if prev_fast is not None:
             gap = max(
                 principal_angle(fast, prev_fast),
@@ -874,23 +876,25 @@ def bunching_report(
     c_lo = math.inf
     c_hi = -math.inf
     u_min = math.inf
-    center_and_up = tuple(CENTER_AXES) + tuple(EXPANDING_AXES)
-    stable_and_center = tuple(STRONG_STABLE_AXES) + tuple(CENTER_AXES)
-    stable_seed = _axes_frame(STRONG_STABLE_AXES)
-    upper_seed = _axes_frame(center_and_up)
-    lower_seed = _axes_frame(stable_and_center)
-    unstable_seed = _axes_frame(EXPANDING_AXES)
+    # QR transport is column-nested (leading columns of a transported frame
+    # depend on the leading seed columns only), so unstable leads upper and
+    # stable leads lower.
+    upper_seed = _axes_frame(EXPANDING_AXES + CENTER_AXES)
+    lower_seed = _axes_frame(STRONG_STABLE_AXES + CENTER_AXES)
 
     for x in points:
         jb = _jacobians_backward(dyn, x, extraction_steps)
-        jf = _jacobians_forward(dyn, x, extraction_steps)
+        jf = _jacobians_forward(dyn, x, max(extraction_steps, n))
         q_upper = qr_product_forward(jb, upper_seed)
-        q_unstable = qr_product_forward(jb, unstable_seed)
-        q_stable = qr_product_pullback(jf, stable_seed)
-        q_lower = qr_product_pullback(jf, lower_seed)
+        q_lower = qr_product_pullback(jf[:extraction_steps], lower_seed)
+        q_unstable = q_upper[:, : len(EXPANDING_AXES)]
+        q_stable = q_lower[:, : len(STRONG_STABLE_AXES)]
         q_center = subspace_intersection(q_upper, q_lower, len(CENTER_AXES))
 
-        t = cocycle_product(dyn, x, n).matrix
+        # The n-step derivative, folded as CocycleProduct.matrix folds it.
+        t = np.eye(DIM)
+        for f in jf[:n]:
+            t = f @ t
         sv_s = np.linalg.svd(t @ q_stable, compute_uv=False)
         sv_c = np.linalg.svd(t @ q_center, compute_uv=False)
         sv_u = np.linalg.svd(t @ q_unstable, compute_uv=False)

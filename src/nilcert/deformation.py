@@ -335,14 +335,15 @@ class LocalRotationMap:
         return out + self.center
 
     def apply_inverse(self, y) -> np.ndarray:
-        """Exact inverse: rotate back by the angle at the (preserved) radius."""
+        """Inverse: rotate back by the angle read at the image radius.
+
+        The rotation preserves the radius only up to rounding, so the
+        angle is the profile at ``|y|``, summed as :meth:`apply` sums
+        ``|x|``, and the round trip is exact up to rounding.
+        """
         v = np.asarray(y, dtype=float) - self.center
-        r = float(np.linalg.norm(v))
-        theta = float(_kernels.psi_eval_params(r, self.profile.params))
-        if theta == 0.0:
-            return np.array(y, dtype=float)
-        out = _kernels.rotate_in_plane(v, self.plane.e1, self.plane.e2, -theta)
-        return out + self.center
+        p, e1, e2 = self.profile.params, self.plane.e1, self.plane.e2
+        return _kernels.h_apply_inverse(v, p, e1, e2) + self.center
 
     def jacobian(self, x) -> np.ndarray:
         """Derivative at ``x``: the in-place rotation plus a rank-one radial term.
@@ -369,14 +370,17 @@ class DeformedMap:
     In the exponential chart at the fixed point the map is
     ``g(x) = h(B x)`` where ``B`` is the automorphism and ``h`` the
     local rotation.  Its derivative in the left-invariant frame is
-    ``Dh(B x) . B``, which equals ``B`` outside the rotation support and
-    the rotation by the plateau angle times ``B`` at the fixed point.
+    ``Dh(y) . B`` with ``y`` the reduced image of ``B x``, which equals
+    ``B`` outside the rotation support and the rotation by the plateau
+    angle times ``B`` at the fixed point.
 
     When a lattice is attached, :meth:`step` keeps orbit representatives
     reduced.  Chart formulas expect reduced representatives: the
     rotation support ball embeds in the quotient (its diameter is well
     below the shortest lattice displacement), so the reduced
-    representative is the meaningful one.
+    representative is the meaningful one.  Derivatives come only from
+    :meth:`step_with_jacobian` and :meth:`step_inverse_with_jacobian`,
+    at the same reduced points as the steps they belong to.
     """
 
     auto: AutomorphismSpec
@@ -406,25 +410,11 @@ class DeformedMap:
         lo, hi = self.auto.expansion_bounds()
         return max(hi, 1.0 / lo)
 
-    # -- chart dynamics ---------------------------------------------------------
-
-    def apply(self, x) -> np.ndarray:
-        """One step of the deformed map in chart coordinates."""
-        y = self.auto.apply(x)
-        return self.rotation.apply(y)
-
-    def apply_inverse(self, y) -> np.ndarray:
-        """Inverse step: undo the rotation, then the automorphism."""
-        return self.auto.apply_inverse(self.rotation.apply_inverse(y))
+    # -- quotient dynamics --------------------------------------------------------
 
     def jacobian_at(self, x) -> np.ndarray:
-        """Frame derivative ``Dh(B x) . B`` at ``x``."""
-        y = self.auto.apply(x)
-        jh = self.rotation.jacobian(y)
-        # Right-multiplying by the diagonal automorphism scales columns.
-        return jh * self.auto.diag[np.newaxis, :]
-
-    # -- quotient dynamics --------------------------------------------------------
+        """Frame derivative at ``x``, taken along the reduced step."""
+        return self.step_with_jacobian(x)[1]
 
     def step(self, x) -> np.ndarray:
         """One step of the quotient dynamics on reduced representatives.
@@ -460,23 +450,16 @@ class DeformedMap:
             x = self.lattice.reduce(x)
         return x
 
-    def orbit(self, x, n: int) -> np.ndarray:
-        """Reduced orbit ``x, g(x), ..., g^n(x)`` as an ``(n+1, 9)`` array."""
-        out = np.empty((n + 1, DIM))
-        cur = np.asarray(x, dtype=float)
-        out[0] = cur
-        for k in range(n):
-            cur = self.step(cur)
-            out[k + 1] = cur
-        return out
+    def step_inverse_with_jacobian(self, y) -> tuple[np.ndarray, np.ndarray]:
+        """Inverse step ``x = g^-1(y)`` with the forward derivative at ``x``.
 
-    def orbit_inverse(self, x, n: int) -> np.ndarray:
-        """Reduced backward orbit ``x, g^-1(x), ..., g^-n(x)``."""
-        out = np.empty((n + 1, DIM))
-        cur = np.asarray(x, dtype=float)
-        out[0] = cur
-        for k in range(n):
-            cur = self.step_inverse(cur)
-            out[k + 1] = cur
-        return out
-
+        The forward step from ``x`` rotates the reduced image ``z`` that
+        undoing the rotation of ``y`` recovers, so the derivative
+        ``Dh(z) . B`` is taken at that same ``z`` and no second
+        reduction is needed.
+        """
+        z = self.rotation.apply_inverse(y)
+        x = self.auto.apply_inverse(z)
+        if self.lattice is not None:
+            x = self.lattice.reduce(x)
+        return x, self.rotation.jacobian(z) * self.auto.diag[np.newaxis, :]

@@ -57,7 +57,6 @@ from .deformation import (
     DeformedMap,
     LocalRotationMap,
     ProfileError,
-    RotationPlane,
     make_profile,
     psi_eval,
     psi_slope,
@@ -66,6 +65,7 @@ from .nilmanifold import AutomorphismSpec, DIM, LatticeSpec
 from .spectral_planner import (
     AnnulusSpec,
     LabeledSpectrum,
+    PlanStep,
     PlanningError,
     apply_plan,
     plan_center_collapse,
@@ -87,9 +87,6 @@ EXIT_INVALID_INPUT = 2
 EXIT_CERTIFICATION_FAILURE = 3
 EXIT_INTERNAL_ERROR = 4
 EXIT_BROKEN_PIPE = 141
-
-# The plane every planned rotation of the construction turns.
-_ROTATION_PLANE = RotationPlane.from_basis_indices(3, 8)
 
 REPORT_SCHEMA_VERSION = "1"
 
@@ -440,17 +437,18 @@ def _stage_deformation(
     config: PipelineConfig,
     auto: AutomorphismSpec,
     lattice: LatticeSpec,
-    angle: float,
+    step: PlanStep,
     rng: np.random.Generator,
 ) -> tuple[dict, bool, Optional[DeformedMap]]:
     """Build the compactly supported rotation and sanity-check its derivative."""
     frag: dict = {"status": "fail"}
+    plane = step.plane
     try:
-        profile = make_profile(angle, config.support_eps)
+        profile = make_profile(step.angle, config.support_eps)
     except ProfileError as exc:
         frag["error"] = f"profile construction failed: {exc}"
         return frag, False, None
-    rotation = LocalRotationMap(profile=profile, plane=_ROTATION_PLANE)
+    rotation = LocalRotationMap(profile=profile, plane=plane)
     try:
         dyn = DeformedMap(
             auto=auto,
@@ -473,7 +471,7 @@ def _stage_deformation(
     }
     # Derivative at the fixed point must be exactly the planned rotation.
     d0 = dyn.jacobian_at(np.zeros(DIM))
-    planned = _ROTATION_PLANE.rotation_matrix(angle) @ np.diag(auto.diag)
+    planned = plane.rotation_matrix(step.angle) @ np.diag(auto.diag)
     fixed_point_dev = float(np.max(np.abs(d0 - planned)))
     # Sampled rotation-distance and volume checks inside the support.
     sup_dev = 0.0
@@ -483,7 +481,7 @@ def _stage_deformation(
         x *= rng.uniform(0.0, profile.support_radius * 1.2) / np.linalg.norm(x)
         jac = rotation.jacobian(x)
         r = float(np.linalg.norm(x))
-        rot = _ROTATION_PLANE.rotation_matrix(float(psi_eval(profile, r)))
+        rot = plane.rotation_matrix(float(psi_eval(profile, r)))
         sup_dev = max(sup_dev, float(np.linalg.norm(jac - rot, 2)))
         det_dev = max(det_dev, abs(float(np.linalg.det(jac)) - 1.0))
     frag["fixed_point_derivative_dev"] = fixed_point_dev
@@ -504,7 +502,7 @@ def _stage_deformation(
 def _stage_certification(
     config: PipelineConfig,
     auto: AutomorphismSpec,
-    angle: float,
+    step: PlanStep,
     annuli: tuple[AnnulusSpec, AnnulusSpec],
 ) -> tuple[dict, bool, Optional[object]]:
     """Uniform domination exponent plus robustness radius for the family."""
@@ -512,8 +510,8 @@ def _stage_certification(
     try:
         witness = find_domination_exponent(
             auto.diag,
-            _ROTATION_PLANE,
-            angle,
+            step.plane,
+            step.angle,
             annuli,
             n_max=config.n_max,
             grid=config.theta_grid,
@@ -535,8 +533,8 @@ def _stage_certification(
     frag["margin_history"] = [list(r) for r in witness.history]
     rob = robustness_radius(
         auto.diag,
-        _ROTATION_PLANE,
-        angle,
+        step.plane,
+        step.angle,
         annuli,
         n=witness.exponent,
         grid=config.robustness_grid,
@@ -565,6 +563,7 @@ def _stage_rates(
     auto: AutomorphismSpec,
     lattice: LatticeSpec,
     exponent: int,
+    plane_axes: tuple[int, int],
 ) -> tuple[dict, bool]:
     """Four rate bullets, bunching margin, and the undeformed oracle check."""
     l1, l2, l3 = eig.values
@@ -575,6 +574,7 @@ def _stage_rates(
         eps_rate=config.rate_eps,
         sample_count=config.sample_count,
         inner_scale=config.inner_scale,
+        plane_axes=plane_axes,
         seed=config.seed,
         extraction_steps=config.extraction_steps,
     )
@@ -585,6 +585,7 @@ def _stage_rates(
         eps_rate=config.rate_eps,
         sample_count=config.sample_count,
         inner_scale=config.inner_scale,
+        plane_axes=plane_axes,
         seed=config.seed,
         extraction_steps=config.extraction_steps,
     )
@@ -640,7 +641,7 @@ def _stage_sweep(
     config: PipelineConfig,
     auto: AutomorphismSpec,
     lattice: LatticeSpec,
-    angle: float,
+    step: PlanStep,
 ) -> tuple[dict, bool]:
     """Splitting deviation ladder over support scales, plus zero control."""
     warnings: list[str] = []
@@ -648,7 +649,7 @@ def _stage_sweep(
     def dynamics_for(scale: float):
         if scale == 0.0:
             return LinearDynamics(auto, lattice)
-        profile = make_profile(angle, scale)
+        profile = make_profile(step.angle, scale)
         if profile.support_radius >= config.probe_radius:
             warnings.append(
                 f"probe set at radius {config.probe_radius} intersects the "
@@ -657,7 +658,7 @@ def _stage_sweep(
             )
         return DeformedMap(
             auto=auto,
-            rotation=LocalRotationMap(profile=profile, plane=_ROTATION_PLANE),
+            rotation=LocalRotationMap(profile=profile, plane=step.plane),
             lattice=lattice,
             chart_radius=config.chart_radius,
         )
@@ -815,31 +816,31 @@ def run_pipeline(config: PipelineConfig) -> dict:
             failures.append("planner")
 
     dyn = None
-    angle = None
+    step = None  # the plan's last rotation, which the deformation turns
     if plan is not None:
-        angle = plan.steps[-1].angle
-        frag, ok_d, dyn = _stage_deformation(config, auto, lattice, angle, rng)
+        step = plan.steps[-1]
+        frag, ok_d, dyn = _stage_deformation(config, auto, lattice, step, rng)
         stages["deformation"] = frag
         if not ok_d:
             failures.append("deformation")
 
     witness = None
-    if angle is not None:
-        frag, ok_c, witness = _stage_certification(config, auto, angle, annuli)
+    if step is not None:
+        frag, ok_c, witness = _stage_certification(config, auto, step, annuli)
         stages["certification"] = frag
         if not ok_c:
             failures.append("certification")
 
     if dyn is not None and witness is not None:
         frag, ok_r = _stage_rates(
-            config, eig, dyn, auto, lattice, witness.exponent
+            config, eig, dyn, auto, lattice, witness.exponent, step.axes
         )
         stages["rates"] = frag
         if not ok_r:
             failures.append("rates")
 
-    if angle is not None:
-        frag, ok_s = _stage_sweep(config, auto, lattice, angle)
+    if step is not None:
+        frag, ok_s = _stage_sweep(config, auto, lattice, step)
         stages["sweep"] = frag
         if not ok_s:
             failures.append("sweep")
@@ -910,7 +911,7 @@ def cmd_sweep_support(config: PipelineConfig) -> int:
     if not ok:
         print(f"planning failed: {pfrag.get('error')}")
         return EXIT_CERTIFICATION_FAILURE
-    frag, ok = _stage_sweep(config, auto, lattice, plan.steps[-1].angle)
+    frag, ok = _stage_sweep(config, auto, lattice, plan.steps[-1])
     out_dir = Path(config.out_dir)
     _write_csv(
         out_dir / "curves" / "support_sweep.csv",

@@ -106,10 +106,16 @@ def _serialize(report: dict) -> str:
 
 @pytest.fixture(scope="session")
 def pipeline_reports():
-    """Two independent default-config pipeline runs, as dicts and bytes."""
+    """Two independent default-config pipeline runs, as dicts and bytes.
+
+    The second run takes its config from the first report's echo, so the
+    pair also shows that the echoed config re-runs to the same report.
+    """
     config = PipelineConfig()
     first = run_pipeline(config)
-    second = run_pipeline(config)
+    echoed = PipelineConfig.from_dict(first["config"])
+    assert echoed == config
+    second = run_pipeline(echoed)
     return {
         "config": config,
         "reports": (first, second),

@@ -415,7 +415,7 @@ def test_criterion_8_structural_invariants(
     x = np.full(DIM, 0.004)
     total = cocycle_product(deformed, x, 6)
     first = cocycle_product(deformed, x, 2)
-    second = cocycle_product(deformed, deformed.orbit(x, 2)[-1], 4)
+    second = cocycle_product(deformed, first.end, 4)
     cocycle_ok = np.array_equal((second @ first).matrix, total.matrix)
 
     # Extracted splitting is derivative-invariant below 1e-8.

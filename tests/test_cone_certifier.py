@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nilcert import cone_certifier as cc
+from nilcert._kernels import qr_product_forward, qr_product_pullback
 from nilcert.cone_certifier import (
     CENTER_AXES,
     CertificationError,
@@ -140,7 +142,8 @@ def test_cocycle_products_compose_exactly(deformed):
     x = np.full(DIM, 0.004)
     total = cocycle_product(deformed, x, 6)
     first = cocycle_product(deformed, x, 2)
-    mid_point = deformed.orbit(x, 2)[-1]
+    mid_point = first.end
+    assert np.array_equal(mid_point, deformed.step(deformed.step(x)))
     second = cocycle_product(deformed, mid_point, 4)
     composed = second @ first
     assert isinstance(composed, CocycleProduct)
@@ -267,8 +270,36 @@ def test_linear_dynamics_matches_automorphism(auto, lattice):
     assert np.allclose(stepped, lattice.reduce(auto.apply(x)), atol=0)
     nxt, jac = lin.step_with_jacobian(x)
     assert np.array_equal(jac, auto.matrix)
-    orb = lin.orbit(x, 3)
-    assert orb.shape == (4, DIM)
+    end = cocycle_product(lin, x, 3).end
+    assert end.shape == (DIM,)
+    assert np.array_equal(end, lin.step(lin.step(nxt)))
+    back, jac = lin.step_inverse_with_jacobian(nxt)
+    assert np.array_equal(back, lin.step_inverse(nxt))
+    assert np.array_equal(jac, auto.matrix)
+
+
+def test_rates_transport_two_nested_frames_per_sample(
+    deformed, eigendata, monkeypatch
+):
+    # Column-nested QR transport: the unstable and stable frames are the
+    # leading columns of the upper and lower frames, bit for bit, so each
+    # sample needs two transports.
+    calls = []
+
+    def recording(transport):
+        def run(jacs, q0):
+            calls.append((transport, jacs, q0, transport(jacs, q0)))
+            return calls[-1][-1]
+
+        return run
+
+    monkeypatch.setattr(cc, "qr_product_forward", recording(qr_product_forward))
+    monkeypatch.setattr(cc, "qr_product_pullback", recording(qr_product_pullback))
+    report = bunching_report(deformed, eigendata.values, n=2, sample_count=8, seed=3)
+    assert len(calls) == 2 * report.sample_count
+    for transport, jacs, q0, q in calls:
+        lead = 3 if transport is qr_product_forward else 4
+        assert np.array_equal(q[:, :lead], transport(jacs, q0[:, :lead]))
 
 
 def test_bunching_report_small_sample(deformed, eigendata):

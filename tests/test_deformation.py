@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nilcert import _kernels
 from nilcert.deformation import (
     DeformationError,
     DeformedMap,
@@ -228,15 +229,36 @@ def test_step_inverse_round_trip(deformed):
         assert np.max(np.abs(back - red_x)) < 1e-9
 
 
-def test_orbits_have_expected_shape_and_consistency(deformed):
-    x = np.full(DIM, 0.01)
-    fwd = deformed.orbit(x, 5)
-    bwd = deformed.orbit_inverse(x, 5)
-    assert fwd.shape == (6, DIM)
-    assert bwd.shape == (6, DIM)
-    assert np.array_equal(fwd[0], x)
-    assert np.array_equal(deformed.step(fwd[2]), fwd[3])
-    assert np.array_equal(deformed.step_inverse(bwd[2]), bwd[3])
+def test_jacobian_is_taken_at_the_reduced_image(deformed, auto, lattice):
+    # B x = gamma . z for a lattice generator gamma and z inside the
+    # support: the step reduces B x to z and rotates there, so the
+    # derivative along it is Dh(z) B, not the bare automorphism.
+    r = deformed.rotation.support_radius
+    z = np.zeros(DIM)
+    z[3], z[8] = 0.3 * r, 0.2 * r
+    for j in range(DIM):
+        x = auto.apply_inverse(_kernels.bch9(lattice.basis[:, j], z))
+        jac = deformed.jacobian_at(x)
+        assert np.array_equal(jac, deformed.step_with_jacobian(x)[1])
+        assert not np.allclose(jac, np.diag(auto.diag))
+
+
+def test_inverse_step_jacobian_matches_forward_step(deformed):
+    rng = np.random.default_rng(8)
+    r = deformed.rotation.support_radius
+    inside = 0
+    for scale in (0.2 * r, 0.6 * r, 2.0 * r, 0.1, 0.3):
+        for _ in range(10):
+            y = rng.normal(size=DIM)
+            y *= scale / np.linalg.norm(y)
+            inside += np.linalg.norm(y) < r
+            x, jac = deformed.step_inverse_with_jacobian(y)
+            assert np.array_equal(x, deformed.step_inverse(y))
+            y_again, fwd = deformed.step_with_jacobian(x)
+            if np.linalg.norm(y) < r:  # a reduced point: the step returns it
+                assert np.max(np.abs(y_again - y)) < 1e-15
+            assert np.max(np.abs(jac - fwd)) <= 1e-12 * np.max(np.abs(fwd))
+    assert inside == 20
 
 
 def test_support_must_fit_in_chart(auto, lattice, collapse_angle):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from nilcert import _kernels
-from nilcert.deformation import RotationPlane, make_profile
+from nilcert.deformation import LocalRotationMap, RotationPlane, make_profile
 from nilcert.nilmanifold import DIM
 
 ANGLE = 1.1390942143376726  # the default construction's collapse angle
@@ -172,3 +172,17 @@ def test_rotation_kernels_match_loops_on_the_construction_plane(eps):
     assert 0 < outside < 200
     zero = np.zeros(DIM)
     assert _identical(_kernels.h_jacobian(zero, p, e1, e2), _ref_h_jacobian(zero, p, e1, e2))
+
+
+def test_inverse_rotation_reads_the_angle_as_the_forward_map_does():
+    # The inverse rotates back by psi at the image radius, summed in index
+    # order like h_apply's radius; a differently rounded norm moves the
+    # angle on the log branch.
+    profile = make_profile(ANGLE, 0.05)
+    p, e1, e2 = profile.params, PLANE.e1, PLANE.e2
+    rot = LocalRotationMap(profile=profile, plane=PLANE)
+    for y in _points(profile, seed=2, count=1000):
+        theta = _ref_psi(_ref_radius(y), p, slope=False)
+        expected = _ref_rotate_in_plane(y, e1, e2, -theta) if theta != 0.0 else y
+        assert _identical(_kernels.h_apply_inverse(y, p, e1, e2), expected)
+        assert _identical(rot.apply_inverse(y), expected)
