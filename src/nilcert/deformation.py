@@ -444,7 +444,13 @@ class DeformedMap:
         return self.rotation.apply(y), jac
 
     def step_inverse(self, y) -> np.ndarray:
-        """Inverse quotient step: undo the rotation, the automorphism, reduce."""
+        """Inverse quotient step: undo the rotation, the automorphism, reduce.
+
+        This inverts :meth:`step` only for a reduced ``y``: the angle is read
+        at ``|y|``, so an unreduced representative of a point inside the
+        support undoes no rotation.  Every walk starts at a small point and
+        so keeps ``y`` reduced; ``y`` is not reduced here.
+        """
         x = self.auto.apply_inverse(self.rotation.apply_inverse(y))
         if self.lattice is not None:
             x = self.lattice.reduce(x)
@@ -456,7 +462,8 @@ class DeformedMap:
         The forward step from ``x`` rotates the reduced image ``z`` that
         undoing the rotation of ``y`` recovers, so the derivative
         ``Dh(z) . B`` is taken at that same ``z`` and no second
-        reduction is needed.
+        reduction is needed.  As for :meth:`step_inverse`, ``y`` must be
+        reduced.
         """
         z = self.rotation.apply_inverse(y)
         x = self.auto.apply_inverse(z)

@@ -88,7 +88,7 @@ EXIT_CERTIFICATION_FAILURE = 3
 EXIT_INTERNAL_ERROR = 4
 EXIT_BROKEN_PIPE = 141
 
-REPORT_SCHEMA_VERSION = "1"
+REPORT_SCHEMA_VERSION = "2"
 
 
 class ConfigError(ValueError):
@@ -422,9 +422,7 @@ def _stage_planner(
             errors.append(
                 f"avoidance of the {name} annulus [{ann.alpha_q:.6g}, "
                 f"{ann.beta_q:.6g}] on step {k // 2 + 1} not certified: "
-                f"Bauer-Fike bound {res.lip_bound:.3e} >= margin "
-                f"{res.margin:.3e} on grid {res.grid} after "
-                f"{res.densifications} densifications"
+                + res.describe()
             )
     ok = not errors
     if errors:

@@ -9,12 +9,11 @@ sub-unit eigenvalue modulus above one — breaking global hyperbolicity
 while keeping a dominated splitting — and provides the supporting
 checks:
 
-* :func:`annulus_avoidance` — certifies that the whole rotated family
-  ``R_theta . D`` keeps its eigenvalue moduli outside a given annulus,
-  with a rigorous inter-grid Lipschitz bound and automatic grid
-  densification.  The grid is evaluated as stacks of rotated maps, one
-  stacked ``eig`` and ``cond`` per chunk of angles; for diagonal ``D``
-  the result is bit-identical to evaluating one angle at a time;
+* :func:`annulus_avoidance` — decides in closed form whether the whole
+  rotated family ``R_theta . D`` keeps its eigenvalue moduli outside a
+  given annulus: the moving moduli fill two explicit intervals and the
+  others stay put.  It certifies the answer with outward rounding; no
+  angle is sampled;
 * :func:`find_realifying_angle` — the smallest rotation making a
   complex eigenvalue pair real;
 * :func:`jordan_detuning` — a small rotation splitting a Jordan block
@@ -55,11 +54,6 @@ __all__ = [
     "apply_plan",
 ]
 
-_MIN_GRID = 100
-# Angles per stacked eig/cond call in annulus_avoidance; sized for memory.
-_THETA_CHUNK = 128
-
-
 class PlanningError(ValueError):
     """Raised when no admissible rotation plan exists for the inputs."""
 
@@ -93,161 +87,108 @@ class AnnulusSpec:
 
 @dataclass(frozen=True)
 class AvoidanceResult:
-    """Outcome of an annulus-avoidance sweep.
+    """Outcome of deciding annulus avoidance for one rotated family.
 
-    ``ok`` records that every grid eigenvalue cleared the annulus;
-    ``certified`` additionally records that the inter-grid Lipschitz
-    bound is below the observed clearance margin, so the whole
-    continuous family avoids the annulus, not just the sampled maps.
+    ``ok`` records that every modulus of the family clears the annulus in
+    floating point, by the signed ``margin``; ``certified`` that it still
+    does with every value widened outward by its rounding error, which
+    lowers the margin by ``error_bound``.  No grid is sampled: ``grid``
+    echoes the planner's ``theta_grid`` and ``densifications`` is 0.
     """
 
     ok: bool
     certified: bool
     margin: float
-    lip_bound: float
+    error_bound: float
     grid: int
-    densifications: int
-    violations: tuple[tuple[float, complex], ...] = ()
+    densifications: int = 0
 
     def describe(self) -> str:
         if not self.ok:
-            th, ev = self.violations[0]
-            return (
-                f"violation at theta={th:.6f}: eigenvalue {ev:.6g} inside annulus"
-            )
-        cert = "certified" if self.certified else (
-            f"grid-only (needs denser grid; bound {self.lip_bound:.3e} "
-            f">= margin {self.margin:.3e})"
-        )
-        return (
-            f"avoided with margin {self.margin:.6e} on grid {self.grid} "
-            f"({self.densifications} densifications), {cert}"
-        )
+            return f"a modulus lies inside the annulus (margin {self.margin:.6e})"
+        if not self.certified:
+            return f"error bound {self.error_bound:.3e} >= margin {self.margin:.3e}"
+        return f"certified with margin {self.margin:.6e}"
+
+
+def _down(x: float) -> float:
+    return math.nextafter(x, -math.inf)
+
+
+def _up(x: float) -> float:
+    return math.nextafter(x, math.inf)
 
 
 def annulus_avoidance(
-    dq: np.ndarray,
-    plane: RotationPlane,
+    pair: tuple[float, float],
+    fixed_moduli: Sequence[float],
     a: float,
     ann: AnnulusSpec,
-    grid: int = 1024,
-    max_densifications: int = 6,
+    grid: int,
 ) -> AvoidanceResult:
-    """Certify that ``R_theta . dq`` avoids an annulus for all theta in [0, a].
+    """Decide whether ``R_theta . D`` avoids an annulus for all theta in [0, a].
 
-    Eigenvalue moduli are checked on a uniform theta grid.  Between grid
-    points, eigenvalue motion is bounded by the Bauer-Fike estimate
-    ``kappa(V_theta) * |dtheta| * ||dq||_2`` (rotations move by at most
-    ``|dtheta|`` in spectral norm, and ``kappa`` is the eigenbasis
-    condition number at the grid point); each grid point covers half a
-    step on either side.  If the grid passes but the bound does not
-    clear the margin, the grid is doubled up to ``max_densifications``
-    times — the result records how much densification was needed.
+    ``R_theta`` rotates a plane spanned by two eigendirections of ``D``
+    with moduli ``pair = (p, q)``; ``fixed_moduli`` are the other moduli,
+    which the rotation does not move.  On the plane the family is
+    ``R_theta . diag(p, q)``, with trace ``(p + q) cos(theta)`` and
+    determinant ``p q``.  Its moduli depend only on ``|trace|``, which runs
+    from ``T = (p + q) cos(min(a, pi/2))`` to ``p + q``, so they fill
+    ``[min(p, q), s(T)]`` and ``[b(T), max(p, q)]``: ``s(T) <= b(T)`` are the
+    root moduli of ``z^2 - T z + p q``, both ``sqrt(p q)`` if ``T^2 < 4 p q``.
 
-    The grid is evaluated in chunks of ``_THETA_CHUNK`` angles: one
-    ``(k, n, n)`` stack of rotated maps, one stacked ``eig`` and one
-    stacked ``cond`` per chunk, and array arithmetic for the distances,
-    margins, bounds and violations.  Each rotation is formed in the
-    operation order of :meth:`RotationPlane.rotation_matrix`, from
-    ``math.cos``/``math.sin``; moduli use ``hypot`` (as scalar ``abs``
-    does); and a grid point whose eigenvalues are all real has its
-    condition number taken on the real eigenbasis, as a single ``eig``
-    would return it.  So for diagonal ``dq`` — every single-step and
-    modulus-one plan — the result equals a per-angle evaluation bit for
-    bit.  For a general ``dq`` the stacked product ``R_theta . dq`` may
-    round differently in the last place, which moves ``margin`` and
-    ``lip_bound`` by rounding only.
-
-    With ``a = 0`` the sweep degenerates to a single eigenvalue check of
-    ``dq`` and the certificate is exact.
-
-    Raises ``ValueError`` for ``grid < 100`` or negative ``a``.
+    ``ok`` and ``margin`` come from the float values, with the small root
+    taken as ``p q / b(T)``, which does not cancel.  ``certified`` is
+    decided on enclosures: each input modulus is widened by one unit in the
+    last place, and each operation is rounded outward with
+    ``math.nextafter`` (``cos`` by two units), so a margin inside its own
+    rounding error does not certify.  ``grid`` is recorded, not sampled.
     """
-    if grid < _MIN_GRID:
-        raise ValueError(f"grid must be at least {_MIN_GRID}, got {grid}")
     if a < 0:
         raise ValueError("rotation range must be nonnegative")
-    dq = np.asarray(dq, dtype=float)
-    norm_dq = float(np.linalg.norm(dq, 2))
-    eye = np.eye(len(plane.e1))
-    proj = np.outer(plane.e1, plane.e1) + np.outer(plane.e2, plane.e2)
-    gen = plane.generator
+    p, q = pair
+    lo, hi = min(p, q), max(p, q)
+    big = abs(in_plane_eigen(p, q, min(a, math.pi / 2))[1])
+    margin = _margin(
+        ann,
+        [(lo, max(lo, p * q / big)), (min(big, hi), hi)]
+        + [(m, m) for m in fixed_moduli],
+    )
 
-    n_grid = grid
-    densifications = 0
-    while True:
-        if a == 0.0:
-            thetas = np.array([0.0])
-            half_step = 0.0
-        else:
-            thetas = np.linspace(0.0, a, n_grid)
-            half_step = a / (n_grid - 1) / 2.0
-        margin = math.inf
-        lip = 0.0
-        point_certified = True
-        violations: list[tuple[float, complex]] = []
-        for start in range(0, len(thetas), _THETA_CHUNK):
-            chunk = thetas[start : start + _THETA_CHUNK].tolist()
-            ct = np.array([math.cos(t) for t in chunk])
-            st = np.array([math.sin(t) for t in chunk])
-            rot = eye + (ct - 1.0)[:, None, None] * proj
-            rot += st[:, None, None] * gen
-            evals, vecs = np.linalg.eig(rot @ dq)
-            dist = _annulus_distance(ann, np.hypot(evals.real, evals.imag))
-            for i, j in zip(*np.nonzero(dist <= 0)):
-                violations.append((chunk[i], complex(evals[i, j])))
-            local_margin = np.fmin.reduce(dist, axis=1, initial=math.inf)
-            margin = float(np.fmin.reduce(local_margin, initial=margin))
-            # Rotations within half a step of a grid point perturb the map
-            # by at most half_step in spectral norm; Bauer-Fike moves the
-            # eigenvalues by at most kappa(V) times that.
-            local_bound = _eigenbasis_cond(evals, vecs) * half_step * norm_dq
-            lip = float(np.fmax.reduce(local_bound, initial=lip))
-            if np.any(local_bound >= local_margin):
-                point_certified = False
-        ok = not violations
-        certified = ok and point_certified
-        if not ok or certified or densifications >= max_densifications:
-            return AvoidanceResult(
-                ok=ok,
-                certified=certified,
-                margin=margin,
-                lip_bound=lip,
-                grid=len(thetas),
-                densifications=densifications,
-                violations=tuple(violations),
-            )
-        n_grid *= 2
-        densifications += 1
-
-
-def _annulus_distance(ann: AnnulusSpec, moduli: np.ndarray) -> np.ndarray:
-    """:meth:`AnnulusSpec.distance` applied elementwise."""
-    inside = -np.minimum(moduli - ann.alpha_q, ann.beta_q - moduli)
-    return np.where(
-        moduli < ann.alpha_q,
-        ann.alpha_q - moduli,
-        np.where(moduli > ann.beta_q, moduli - ann.beta_q, inside),
+    pq_lo, pq_hi = _down(_down(p) * _down(q)), _up(_up(p) * _up(q))
+    t_lo = 0.0  # a lower bound on |trace| over [0, a]
+    if a < math.pi / 2:
+        cos_lo = _down(_down(math.cos(a)))
+        t_lo = max(0.0, _down(_down(_down(p) + _down(q)) * cos_lo))
+    disc_lo = _down(_down(t_lo * t_lo) - 4.0 * pq_hi)
+    if disc_lo < 0.0:
+        small_hi, big_lo = _up(math.sqrt(pq_hi)), _down(math.sqrt(pq_lo))
+    else:
+        den_lo = _down(t_lo + _down(math.sqrt(disc_lo)))
+        small_hi, big_lo = _up(2.0 * pq_hi / den_lo), _down(den_lo / 2.0)
+    enclosed = _margin(
+        ann,
+        [(_down(lo), small_hi), (big_lo, _up(hi))]
+        + [(_down(m), _up(m)) for m in fixed_moduli],
+    )
+    ok = margin > 0
+    return AvoidanceResult(
+        ok=ok,
+        certified=ok and enclosed > 0,
+        margin=margin,
+        error_bound=margin - enclosed,
+        grid=grid,
     )
 
 
-def _eigenbasis_cond(evals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Condition numbers of a stack of eigenbases, one per matrix.
+def _margin(ann: AnnulusSpec, intervals: list[tuple[float, float]]) -> float:
+    """Smallest :meth:`AnnulusSpec.distance` over closed intervals.
 
-    A stacked ``eig`` returns complex eigenvectors for the whole stack as
-    soon as one matrix has a complex pair.  Matrices whose eigenvalues
-    are all real get the condition number of their real eigenbasis, as
-    an unstacked ``eig`` would have returned it.
+    The distance falls up to the annulus's mid-radius and rises after it,
+    so on each interval it is smallest at the point nearest the mid-radius.
     """
-    if not np.iscomplexobj(vecs):
-        return np.linalg.cond(vecs)
-    real_rows = np.all(evals.imag == 0.0, axis=1)
-    cond = np.empty(len(vecs))
-    if real_rows.any():
-        cond[real_rows] = np.linalg.cond(vecs[real_rows].real)
-    if not real_rows.all():
-        cond[~real_rows] = np.linalg.cond(vecs[~real_rows])
-    return cond
+    mid = 0.5 * (ann.alpha_q + ann.beta_q)
+    return min(ann.distance(min(max(mid, lo), hi)) for lo, hi in intervals)
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +516,7 @@ class RedistributionPlan:
                     "ok": r.ok,
                     "certified": r.certified,
                     "margin": r.margin,
-                    "lip_bound": r.lip_bound,
+                    "error_bound": r.error_bound,
                     "grid": r.grid,
                     "densifications": r.densifications,
                 }
@@ -665,19 +606,22 @@ def plan_center_collapse(
     if not (s > 0):
         raise PlanningError("target surplus s must be positive")
 
-    diag = eigs.diagonal_matrix(dim)
+    # The planned modulus on each axis, updated by each step's target pair.
+    moduli = eigs.diagonal_matrix(dim).diagonal().tolist()
     notes: list[str] = []
     avoidance: list[AvoidanceResult] = []
 
-    def run_avoidance(matrix: np.ndarray, plane: RotationPlane, angle: float) -> None:
+    def run_avoidance(step: PlanStep) -> None:
+        fixed = [m for k, m in enumerate(moduli) if k not in step.axes]
         for ann in annuli:
-            res = annulus_avoidance(matrix, plane, angle, ann, grid=grid)
+            res = annulus_avoidance(step.input_pair, fixed, step.angle, ann, grid)
             avoidance.append(res)
             if not res.ok:
                 raise PlanningError(
-                    "planned rotation violates a domination annulus: "
-                    + res.describe()
+                    "planned rotation violates a domination annulus "
+                    f"[{ann.alpha_q:.6g}, {ann.beta_q:.6g}]: " + res.describe()
                 )
+        moduli[step.axes[0]], moduli[step.axes[1]] = step.target_pair
 
     centers = sorted(eigs.center)  # ascending by modulus
     # Tie-breaks are fixed for determinism: among equal moduli the smallest
@@ -693,7 +637,6 @@ def plan_center_collapse(
         prod = c_lo * c_hi
         plane = RotationPlane.from_basis_indices(ax_lo, ax_hi, dim=dim)
         angle = solve_plane_rotation_angle(c_lo, c_hi, 1.0 + prod)
-        run_avoidance(diag, plane, angle)
         step = PlanStep(
             plane=plane,
             angle=angle,
@@ -701,6 +644,7 @@ def plan_center_collapse(
             target_pair=(1.0, prod),
             axes=(ax_lo, ax_hi),
         )
+        run_avoidance(step)
         final = [v for v, _ in eigs.stable + eigs.unstable]
         final += [v for v, a in centers if a not in (ax_lo, ax_hi)]
         final += [1.0, prod]
@@ -741,7 +685,6 @@ def plan_center_collapse(
         angle = solve_plane_rotation_angle(
             c_val, u_top_val, target_small + target_big
         )
-        run_avoidance(diag, plane, angle)
         step = PlanStep(
             plane=plane,
             angle=angle,
@@ -749,6 +692,7 @@ def plan_center_collapse(
             target_pair=(target_small, target_big),
             axes=(c_axis, u_top_axis),
         )
+        run_avoidance(step)
         final = [v for v, _ in eigs.stable]
         final += [v for v, a in centers if a != c_axis]
         final += [v for v, a in unstable[:-1]]
@@ -782,7 +726,6 @@ def plan_center_collapse(
     mu = math.sqrt(upper)  # geometric midpoint of (1, upper)
 
     steps: list[PlanStep] = []
-    current = diag.copy()
     v_acc = np.zeros(dim)
     v_acc[c_axis] = 1.0
     acc = c_val
@@ -800,20 +743,20 @@ def plan_center_collapse(
         e_partner[u_axis] = 1.0
         plane = RotationPlane(e1=v_acc.copy(), e2=e_partner)
         angle = solve_plane_rotation_angle(acc, u_val, sum(pair_out))
-        run_avoidance(current, plane, angle)
-        steps.append(
-            PlanStep(
-                plane=plane,
-                angle=angle,
-                input_pair=pair_in,
-                target_pair=pair_out,
-                axes=(c_axis, u_axis),
-            )
+        # v_acc is orthogonal to e_partner and R_theta - I maps into their
+        # plane, so the moduli off the plane are the bookkept ones.
+        step = PlanStep(
+            plane=plane,
+            angle=angle,
+            input_pair=pair_in,
+            target_pair=pair_out,
+            axes=(c_axis, u_axis),
         )
+        run_avoidance(step)
+        steps.append(step)
         v_acc = _acc_eigvec_after_step(
             plane, angle, v_acc, e_partner, pair_in, new_acc
         )
-        current = plane.rotation_matrix(angle) @ current
         acc = new_acc
 
     if not acc > mu**m_count:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -104,7 +105,7 @@ def test_default_pipeline_passes_every_stage(pipeline_reports):
         "sweep",
     ):
         assert report["stages"][name]["status"] == "pass", name
-    assert report["schema_version"] == "1"
+    assert report["schema_version"] == "2"
     assert report["tool"]["name"] == "nilcert"
     assert report["erratum_notes"]
 
@@ -296,19 +297,34 @@ def test_plan_command_prints_plan(capsys):
     assert frag["expanding_eigenspace"]["dimension"] == 4
 
 
-def test_plan_without_certificate_fails(tmp_path, capsys):
-    # x^3 - 20x^2 + 9x - 1: every grid point clears the lower annulus, but
-    # the Bauer-Fike bound still exceeds the margin after six doublings.
+def test_plan_certifies_the_20_9_lower_annulus(tmp_path, capsys):
+    # x^3 - 20x^2 + 9x - 1: the lower annulus is avoided with margin 0.0212,
+    # set by a fixed modulus, which the closed form certifies exactly.
     cfg = _write_config(
         tmp_path, {"matrix": [[0, 0, 1], [1, 0, -9], [0, 1, 20]]}
     )
+    assert main(["plan", "--config", cfg]) == EXIT_PASS
+    frag = json.loads(capsys.readouterr().out)
+    assert frag["status"] == "pass"
+    lower = frag["plan"]["avoidance"][0]
+    assert lower["ok"] and lower["certified"]
+    assert lower["margin"] == pytest.approx(0.02118936875, rel=1e-9)
+
+
+def test_plan_without_certificate_fails(tmp_path, capsys):
+    # The lower annulus starts one ulp above the stable modulus 0.2831 of
+    # the default matrix: clear in floating point, but not beyond rounding.
+    alpha = math.nextafter(0.28311858285794855, 1.0)
+    annuli = [[alpha, 0.37177271152453256], [2.0908652701627473, 4.163540550450228]]
+    cfg = _write_config(tmp_path, {"annuli": annuli})
     assert main(["plan", "--config", cfg]) == EXIT_CERTIFICATION_FAILURE
     frag = json.loads(capsys.readouterr().out)
     assert frag["status"] == "fail"
     lower = frag["plan"]["avoidance"][0]
     assert lower["ok"] and not lower["certified"]
-    assert "lower annulus" in frag["error"]
-    bound = f"{lower['lip_bound']:.3e} >= margin {lower['margin']:.3e}"
+    assert 0 < lower["margin"] <= lower["error_bound"]
+    assert f"lower annulus [{alpha:.6g}, 0.371773]" in frag["error"]
+    bound = f"error bound {lower['error_bound']:.3e} >= margin {lower['margin']:.3e}"
     assert bound in frag["error"]
 
 
@@ -320,7 +336,7 @@ def test_report_command_pretty_prints(tmp_path, capsys):
     assert main(["report", "--out", str(out_dir)]) == EXIT_PASS
     stdout = capsys.readouterr().out
     assert "verdict: PASS" in stdout
-    assert "schema 1" in stdout
+    assert "schema 2" in stdout
 
 
 def test_report_command_missing_file(tmp_path, capsys):

@@ -4,14 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nilcert.algebraic_core import EigenData, IntegerMatrixSpec
 from nilcert.nilmanifold import AutomorphismSpec
 from nilcert.spectral_planner import (
     AnnulusSpec,
-    AvoidanceResult,
     LabeledSpectrum,
     PlanningError,
     annulus_avoidance,
@@ -230,19 +229,21 @@ def test_tie_break_prefers_smallest_axis_among_equal_moduli(auto, annuli, labele
     assert plan.steps[-1].axes[0] == 3
 
 
-def test_avoidance_grid_minimum_enforced(auto, annuli):
-    dq = np.diag(auto.diag)
-    plane = RotationPlane.from_basis_indices(3, 8)
-    with pytest.raises(ValueError):
-        annulus_avoidance(dq, plane, 1.0, annuli[0], grid=50)
-
-
 def test_avoidance_zero_angle_single_point(auto, annuli):
-    dq = np.diag(auto.diag)
-    plane = RotationPlane.from_basis_indices(3, 8)
-    res = annulus_avoidance(dq, plane, 0.0, annuli[0])
-    assert res.ok and res.certified
-    assert res.grid == 1
+    # With a = 0 the family is the diagonal map itself: its margin is the
+    # smallest distance of a diagonal entry, here 0.2831 on two fixed axes.
+    fixed = np.delete(auto.diag, [3, 8]).tolist()
+    pair = (auto.diag[3], auto.diag[8])
+    for ann in annuli:
+        res = annulus_avoidance(pair, fixed, 0.0, ann, 1024)
+        assert res.ok and res.certified and res.grid == 1024
+        assert res.margin == min(ann.distance(float(m)) for m in auto.diag)
+        ok, margin = _reference_avoidance(
+            np.diag(auto.diag), RotationPlane.from_basis_indices(3, 8), 0.0, ann
+        )
+        assert (res.ok, res.margin) == (ok, margin)
+    with pytest.raises(ValueError):
+        annulus_avoidance(pair, fixed, -0.1, annuli[0], 1024)
 
 
 def test_avoidance_detects_violation(auto, annuli):
@@ -250,10 +251,20 @@ def test_avoidance_detects_violation(auto, annuli):
     mid = (annuli[0].alpha_q + annuli[0].beta_q) / 2
     diag = np.array(auto.diag, dtype=float)
     diag[0] = mid
-    plane = RotationPlane.from_basis_indices(3, 8)
-    res = annulus_avoidance(np.diag(diag), plane, 0.5, annuli[0])
-    assert not res.ok
-    assert res.violations
+    fixed = np.delete(diag, [3, 8]).tolist()
+    res = annulus_avoidance((diag[3], diag[8]), fixed, 0.5, annuli[0], 1024)
+    assert not res.ok and not res.certified
+    assert res.margin == annuli[0].distance(mid) < 0
+    assert "inside the annulus" in res.describe()
+    ok, margin = _reference_avoidance(
+        np.diag(diag), RotationPlane.from_basis_indices(3, 8), 0.5, annuli[0]
+    )
+    assert not ok and res.margin == margin
+    # A moving modulus: rotating (0.426, 68.7) by the planned angle sweeps
+    # the small one through [0.426, 1.05], across an annulus at [0.6, 0.7].
+    pair = (auto.diag[3], auto.diag[8])
+    res = annulus_avoidance(pair, [], 1.139, AnnulusSpec(0.6, 0.7), 1024)
+    assert not res.ok and res.margin == pytest.approx(-0.05)
 
 
 def test_planning_error_for_annulus_containing_center(auto, annuli):
@@ -262,60 +273,24 @@ def test_planning_error_for_annulus_containing_center(auto, annuli):
         LabeledSpectrum.from_diagonal(auto.diag, bad_lower, annuli[1])
 
 
-# -- batched avoidance sweep against a per-angle reference -------------------
+# -- closed-form avoidance against a per-angle reference ---------------------
 
 
-def _reference_avoidance(dq, plane, a, ann, grid=1024, max_densifications=6):
-    """The sweep evaluated one angle at a time: one rotation, one ``eig``
-    and one ``cond`` per grid point, scalar distances and bounds."""
-    dq = np.asarray(dq, dtype=float)
-    norm_dq = float(np.linalg.norm(dq, 2))
-    n_grid = grid
-    densifications = 0
-    while True:
-        if a == 0.0:
-            thetas = np.array([0.0])
-            half_step = 0.0
-        else:
-            thetas = np.linspace(0.0, a, n_grid)
-            half_step = a / (n_grid - 1) / 2.0
-        margin = math.inf
-        lip = 0.0
-        point_certified = True
-        violations = []
-        for theta in thetas:
-            m = plane.rotation_matrix(float(theta)) @ dq
-            evals, vecs = np.linalg.eig(m)
-            local_margin = math.inf
-            for ev in evals:
-                d = ann.distance(abs(ev))
-                if d <= 0:
-                    violations.append((float(theta), complex(ev)))
-                local_margin = min(local_margin, d)
-            margin = min(margin, local_margin)
-            local_bound = float(np.linalg.cond(vecs)) * half_step * norm_dq
-            lip = max(lip, local_bound)
-            if local_bound >= local_margin:
-                point_certified = False
-        ok = not violations
-        certified = ok and point_certified
-        if not ok or certified or densifications >= max_densifications:
-            return AvoidanceResult(
-                ok=ok,
-                certified=certified,
-                margin=float(margin),
-                lip_bound=float(lip),
-                grid=len(thetas),
-                densifications=densifications,
-                violations=tuple(violations),
-            )
-        n_grid *= 2
-        densifications += 1
+def _reference_avoidance(dq, plane, a, ann, grid=1024):
+    """The oracle: the family sampled one angle at a time, one rotation and
+    one ``eig`` per point of a uniform grid on ``[0, a]``.  Returns whether
+    every sampled modulus clears the annulus, and the sampled margin."""
+    margin = math.inf
+    for theta in np.linspace(0.0, a, grid):
+        m = plane.rotation_matrix(float(theta)) @ np.asarray(dq, dtype=float)
+        for ev in np.linalg.eigvals(m):
+            margin = min(margin, ann.distance(abs(ev)))
+    return margin > 0, margin
 
 
 def _companion_case(t, s):
-    """Diagonal map, planned plane and angle, and default annuli for the
-    companion matrix of x^3 - t x^2 + s x - 1."""
+    """Diagonal, planned step, and default annuli for the companion matrix of
+    x^3 - t x^2 + s x - 1."""
     eig = EigenData.from_matrix(
         IntegerMatrixSpec.from_rows([[0, 0, 1], [1, 0, -s], [0, 1, t]])
     )
@@ -325,8 +300,17 @@ def _companion_case(t, s):
     annuli = (AnnulusSpec(l1 * g1, l2 / g1), AnnulusSpec(1.05 * g2, l3 / g2))
     diag = AutomorphismSpec.from_eigendata(eig).diag
     labeled = LabeledSpectrum.from_diagonal(diag, annuli[0], annuli[1])
-    step = plan_center_collapse(labeled, s=0.05, annuli=(), grid=1024).steps[-1]
-    return np.diag(diag), step.plane, step.angle, annuli
+    plan = plan_center_collapse(labeled, s=0.05, annuli=annuli, grid=1024)
+    return diag, plan, annuli
+
+
+def _agrees_with_oracle(res, oracle, diagonal):
+    ok, margin = oracle
+    assert res.ok == ok
+    # The closed form covers the whole range, so it is never above the grid.
+    assert res.margin <= margin + 1e-12 * abs(margin)
+    if diagonal:
+        assert res.margin == pytest.approx(margin, rel=1e-9)
 
 
 @pytest.mark.parametrize("which", [0, 1])
@@ -334,47 +318,44 @@ def test_batched_avoidance_matches_reference_on_default_plan(
     plan, auto, annuli, which
 ):
     step = plan.steps[-1]
-    args = (np.diag(auto.diag), step.plane, step.angle, annuli[which])
-    res = annulus_avoidance(*args)
-    assert res == _reference_avoidance(*args)
+    fixed = np.delete(auto.diag, step.axes).tolist()
+    res = annulus_avoidance(
+        step.input_pair, fixed, step.angle, annuli[which], 1024
+    )
     assert res == plan.avoidance[which]
+    assert res.certified and 0 <= res.error_bound < 1e-14
+    oracle = _reference_avoidance(
+        np.diag(auto.diag), step.plane, step.angle, annuli[which]
+    )
+    _agrees_with_oracle(res, oracle, diagonal=True)
 
 
-def test_batched_avoidance_matches_reference_on_violation_and_zero_angle(
-    auto, annuli
-):
-    mid = (annuli[0].alpha_q + annuli[0].beta_q) / 2
-    diag = np.array(auto.diag, dtype=float)
-    diag[0] = mid
-    plane = RotationPlane.from_basis_indices(3, 8)
-    res = annulus_avoidance(np.diag(diag), plane, 0.5, annuli[0])
-    assert not res.ok and len(res.violations) == 1024
-    assert res == _reference_avoidance(np.diag(diag), plane, 0.5, annuli[0])
-    args = (np.diag(auto.diag), plane, 0.0, annuli[0])
-    assert annulus_avoidance(*args) == _reference_avoidance(*args)
-
-
-def test_batched_avoidance_matches_reference_when_uncertified():
-    # x^3 - 20x^2 + 9x - 1: the lower annulus stays grid-only after the
-    # sixth doubling (65,536 points), the case the planner stage rejects.
-    dq, plane, angle, annuli = _companion_case(20, 9)
-    res = annulus_avoidance(dq, plane, angle, annuli[0])
-    assert res.ok and not res.certified
-    assert (res.grid, res.densifications) == (65536, 6)
-    assert res == _reference_avoidance(dq, plane, angle, annuli[0])
+@pytest.mark.parametrize(
+    "ts", [(9, 6), (12, 7), (15, 8), (19, 9), (20, 9)], ids=lambda ts: "t%ds%d" % ts
+)
+def test_avoidance_certifies_the_plan_family(ts):
+    # (20, 9) has the family's thinnest lower margin, 2.1e-2.
+    diag, plan, annuli = _companion_case(*ts)
+    step = plan.steps[-1]
+    assert plan.branch == "single_step"
+    assert [r.certified for r in plan.avoidance] == [True, True]
+    for res, ann in zip(plan.avoidance, annuli):
+        assert (res.grid, res.densifications) == (1024, 0)
+        oracle = _reference_avoidance(np.diag(diag), step.plane, step.angle, ann)
+        _agrees_with_oracle(res, oracle, diagonal=True)
+    # On each lower annulus the margin is set by a fixed modulus.
+    fixed = np.delete(diag, step.axes)
+    assert plan.avoidance[0].margin == min(annuli[0].distance(m) for m in fixed)
+    if ts == (20, 9):
+        assert plan.avoidance[0].margin == pytest.approx(0.02118936875, rel=1e-9)
 
 
 def test_batched_avoidance_matches_reference_on_chain_plan():
-    """Chain steps rotate a non-diagonal map, where the stacked product
-    ``R_theta . dq`` is not guaranteed to round as the unstacked one does.
-    The discrete outcome must agree exactly; margin and Lipschitz bound
-    within 1e-9 relative.  Near the end of the second step's range the map
-    is nearly defective, so its eigenbasis condition number is rounding
-    sensitive there: on the default 1,024-point grid, taking it on the
-    complex-typed basis that a stacked ``eig`` returns for all-real rows
-    moved ``lip_bound`` by 5.5e-13 relative, which is why the sweep uses
-    the real basis for those rows.  With that, this plan agrees exactly;
-    the tolerance covers the stacked product's rounding."""
+    """Chain steps rotate a non-diagonal map.  The closed form decides the
+    planned family from the bookkept moduli; the oracle samples ``eig`` of
+    the accumulated float matrix, which is nearly defective near the end of
+    the second step, so only ``ok`` and the one-sided margin bound are
+    compared.  Every step certifies."""
     stable = tuple((0.9 * 1.1 * 1.25) ** (-1.0 / 6.0) for _ in range(6))
     eigs = LabeledSpectrum(
         stable=tuple((s, i) for i, s in enumerate(stable)),
@@ -384,17 +365,75 @@ def test_batched_avoidance_matches_reference_on_chain_plan():
     annuli = (AnnulusSpec(0.5, 0.8), AnnulusSpec(1.5, 2.0))
     plan = plan_center_collapse(eigs, s=0.05, annuli=annuli, grid=256, dim=9)
     assert plan.branch == "chain" and len(plan.avoidance) == 4
+    assert all(res.ok and res.certified for res in plan.avoidance)
+    assert plan.avoidance[2].margin == pytest.approx(0.16398, rel=1e-4)
     current = eigs.diagonal_matrix(9)
     results = iter(plan.avoidance)
     for step in plan.steps:
         for ann in annuli:
             res = next(results)
-            ref = _reference_avoidance(
+            assert res.grid == 256
+            oracle = _reference_avoidance(
                 current, step.plane, step.angle, ann, grid=256
             )
-            for name in ("ok", "certified", "grid", "densifications",
-                         "violations"):
-                assert getattr(res, name) == getattr(ref, name), name
-            assert res.margin == pytest.approx(ref.margin, rel=1e-9)
-            assert res.lip_bound == pytest.approx(ref.lip_bound, rel=1e-9)
+            _agrees_with_oracle(res, oracle, diagonal=False)
         current = step.plane.rotation_matrix(step.angle) @ current
+
+
+def _block_moduli(p, q, thetas):
+    """Moduli of ``R_theta . diag(p, q)`` by a stacked 2x2 ``eigvals``."""
+    thetas = np.asarray(thetas, dtype=float)
+    c, s = np.cos(thetas), np.sin(thetas)
+    blocks = np.stack([c * p, -s * q, s * p, c * q], axis=-1).reshape(-1, 2, 2)
+    return np.abs(np.linalg.eigvals(blocks))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    p=st.floats(0.05, 5.0),
+    ratio=st.floats(1.001, 200.0),
+    a=angles,
+    above=st.booleans(),
+    start=st.floats(0.0, 0.95),
+    width=st.floats(0.01, 1.0),
+)
+def test_closed_form_avoidance_matches_dense_2x2_sampling(
+    p, ratio, a, above, start, width
+):
+    """The margin is the smallest over a dense 2x2 ``eigvals`` sample of
+    ``[0, a]`` (which includes the realification angle), and it is attained:
+    some angle in range has a modulus at exactly that signed distance."""
+    q = p * ratio
+    r = math.sqrt(p * q)  # the modulus of the pair once realified
+    lo, hi = (r, 2.0 * q) if above else (0.5 * p, r)
+    alpha = lo + start * (hi - lo)
+    ann = AnnulusSpec(alpha, alpha + width * (hi - alpha))
+    res = annulus_avoidance((p, q), [], a, ann, 1024)
+    assert res.ok == (res.margin > 0)
+    assert res.certified <= res.ok
+    assert 0 <= res.error_bound < 1e-12 * q
+    if abs(res.margin) > 1e-9 * q:
+        assert res.certified == res.ok
+
+    def theta_of(m):  # the angle where the block has a root of modulus m
+        return math.acos(min(1.0, (m + p * q / m) / (p + q)))
+
+    tol = 1e-7 * q  # 2x2 eig near the defective angle is good to ~sqrt(eps)
+    thetas = np.linspace(0.0, a, 2049)
+    if theta_of(r) < a:
+        thetas = np.append(thetas, theta_of(r))
+    sampled = min(ann.distance(m) for m in _block_moduli(p, q, thetas).ravel())
+    assert res.margin <= sampled + tol
+    witnesses = [
+        m
+        for m in (ann.alpha_q - res.margin, ann.beta_q + res.margin)
+        if p * (1 - 1e-12) <= m <= q * (1 + 1e-12)
+        and theta_of(m) <= a + 1e-7  # acos near 1 is good to ~sqrt(eps)
+    ]
+    assert witnesses
+    attained = [
+        abs(ann.distance(m) - res.margin)
+        for w in witnesses
+        for m in _block_moduli(p, q, [theta_of(w)])[0]
+    ]
+    assert min(attained) <= tol
