@@ -53,7 +53,6 @@ from .spectral_planner import (
     RedistributionPlan,
     annulus_avoidance,
     apply_plan,
-    find_realifying_angle,
     plan_center_collapse,
 )
 from .cone_certifier import (
@@ -121,7 +120,6 @@ __all__ = [
     "RedistributionPlan",
     "annulus_avoidance",
     "apply_plan",
-    "find_realifying_angle",
     "plan_center_collapse",
     # certifier
     "CertificationError",

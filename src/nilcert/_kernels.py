@@ -8,6 +8,9 @@ as oracles in ``tests/test_kernels.py``), so reports do not move:
 
 * :func:`mat_mul` adds the rank-one terms ``a[:, k] b[k]`` in ``k``
   order, the loops' order of additions; ``a @ b`` and ``einsum`` do not.
+  It broadcasts over stacks of matrices in the same order, so the QR
+  transport kernels carry (N, d, k) frame stacks, one orbit per frame,
+  and each frame matches its own transport bit for bit.
 * The rotation kernels take in-plane coordinates as ``e1 @ x``, which is
   exact when ``e1`` and ``e2`` are coordinate vectors, the only planes
   the pipeline rotates in.  On a general plane the last bit may differ.
@@ -24,9 +27,12 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 def mat_mul(a, b):
     # Rank-one terms in k order: bit-identical to the sequential dot loop.
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for k in range(a.shape[1]):
-        out += np.outer(a[:, k], b[k])
+    # Leading axes broadcast, so stacks multiply matrix by matrix.
+    out = np.zeros(
+        np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
+    )
+    for k in range(a.shape[-1]):
+        out += a[..., :, k, None] * b[..., None, k, :]
     return out
 
 
@@ -42,10 +48,10 @@ def bracket9(u, v):
 
     Coordinates are ordered (x1, y1, z1, x2, y2, z2, x3, y3, z3); the only
     nonzero brackets are [X_i, Y_i] = Z_i, so the result has entries only
-    in the z slots.
+    in the z slots.  Rows of (N, 9) arrays are bracketed pairwise.
     """
-    out = np.zeros(9)
-    out[2::3] = u[0::3] * v[1::3] - u[1::3] * v[0::3]
+    out = np.zeros(np.broadcast_shapes(u.shape, v.shape))
+    out[..., 2::3] = u[..., 0::3] * v[..., 1::3] - u[..., 1::3] * v[..., 0::3]
     return out
 
 
@@ -155,6 +161,15 @@ def _radius(x):
     for v in x.tolist():
         s += v * v
     return math.sqrt(s)
+
+
+def row_radii(x):
+    """:func:`_radius` of every row of x (N, d), bit for bit: the squares
+    are summed column by column in the same index order."""
+    s = np.zeros(x.shape[0])
+    for k in range(x.shape[1]):
+        s += x[:, k] * x[:, k]
+    return np.sqrt(s)
 
 
 def rotate_in_plane(x, e1, e2, theta):
@@ -279,33 +294,49 @@ def grid_domination_margins(diag, thetas, n, tau, e1, e2, lam_hi, tol):
 
 
 def _qr_pos(a):
-    """QR with the sign convention diag(R) >= 0, for reproducibility."""
-    q, r = np.linalg.qr(a)
-    return q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
+    """QR with the sign convention diag(R) >= 0, for reproducibility.
 
-
-def qr_product_forward(jacs, q0):
-    """Push a frame through a Jacobian sequence, re-orthonormalizing.
-
-    jacs has shape (N, d, d); the frame q0 (d, k) is mapped through
-    jacs[0], then jacs[1], ..., with a thin QR after every step.  The span
-    converges to the dominant k-dimensional subspace of the product.
+    Stacks of frames (N, d, k) are factored matrix by matrix; each factor
+    is bit-identical to that of the matrix alone.
     """
-    q = q0.copy()
-    for jac in jacs:
-        q = _qr_pos(mat_mul(jac, q))
+    q, r = np.linalg.qr(a)
+    return q * np.where(np.diagonal(r, axis1=-2, axis2=-1) < 0.0, -1.0, 1.0)[..., None, :]
+
+
+def _seed_frames(points, q0):
+    # One copy of the seed frame per walked point: shape (N, d, k), or (d, k)
+    # for a walk of single points.
+    return np.broadcast_to(q0, points.shape[1:-1] + q0.shape[-2:]).copy()
+
+
+def qr_product_forward(points, jacobian, q0):
+    """Push frames through a Jacobian sequence, re-orthonormalizing.
+
+    points has shape (steps, N, d): the points at which the walk's
+    Jacobians are taken, in the order they are applied, for N orbits
+    walked together ((steps, d) for one orbit).  jacobian maps one (N, d)
+    slice to its (N, d, d) stack; it is called once per step, so the
+    (steps, N, d, d) sequence is never held.  Each seed frame q0 (d, k)
+    (or one per orbit, (N, d, k)) is mapped through the first Jacobian,
+    then the second, ..., with a thin QR after every step.  The spans
+    converge to the dominant k-dimensional subspaces of the products.
+    """
+    q = _seed_frames(points, q0)
+    for p in points:
+        q = _qr_pos(mat_mul(jacobian(p), q))
     return q
 
 
-def qr_product_pullback(jacs, q0):
-    """Pull a frame back through a Jacobian sequence, re-orthonormalizing.
+def qr_product_pullback(points, jacobian, q0):
+    """Pull frames back through a Jacobian sequence, re-orthonormalizing.
 
-    Applies the inverses of jacs[N-1], ..., jacs[0] to the frame, with a
-    thin QR after every solve.  The span converges to the dominant
-    subspace of the inverse product, i.e. the most contracted directions
-    of the forward product.
+    Takes points, jacobian and q0 as :func:`qr_product_forward` does and
+    applies the inverses of the Jacobians at points[steps-1], ...,
+    points[0], with a stacked solve and a thin QR after every step.  The
+    spans converge to the dominant subspaces of the inverse products,
+    i.e. the most contracted directions of the forward products.
     """
-    q = q0.copy()
-    for jac in jacs[::-1]:
-        q = _qr_pos(np.linalg.solve(jac, q))
+    q = _seed_frames(points, q0)
+    for p in points[::-1]:
+        q = _qr_pos(np.linalg.solve(jacobian(p), q))
     return q

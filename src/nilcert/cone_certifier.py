@@ -488,22 +488,24 @@ class CocycleProduct:
 def cocycle_product(dyn, x: np.ndarray, n: int) -> CocycleProduct:
     """Derivative product of ``n`` steps of ``dyn`` starting at ``x``.
 
-    ``dyn`` provides ``step_with_jacobian``; the factors are collected
-    in orbit order.
+    ``dyn`` provides ``step_with_point`` and ``frame_jacobian``; the
+    factors are collected in orbit order.
     """
     if n < 0:
         raise ValueError("step count must be nonnegative")
     start = np.asarray(x, dtype=float).copy()
-    end, factors = _walk(dyn.step_with_jacobian, start, n)
-    return CocycleProduct(factors=tuple(factors), start=start, end=end.copy())
+    end, points = _walk(dyn.step_with_point, start, n)
+    factors = tuple(dyn.frame_jacobian(p) for p in points)
+    return CocycleProduct(factors=factors, start=start, end=end.copy())
 
 
 class LinearDynamics:
     """Orbit interface for the undeformed automorphism.
 
-    Mirrors the deformed map's stepping API with the constant
-    block-diagonal derivative, so rate measurements and splitting
-    extraction run identically on the deformed and undeformed systems.
+    Mirrors the deformed map's stepping API, on one point (9,) or on
+    (N, 9) points at once, with the constant block-diagonal derivative,
+    so rate measurements and splitting extraction run identically on the
+    deformed and undeformed systems.
     """
 
     def __init__(self, auto: AutomorphismSpec, lattice: Optional[LatticeSpec] = None):
@@ -516,19 +518,33 @@ class LinearDynamics:
             return x
         return self.lattice.reduce(x)
 
+    def frame_jacobian(self, p: np.ndarray) -> np.ndarray:
+        """The automorphism's matrix, once per row of ``p``."""
+        return np.tile(self._matrix, np.shape(p)[:-1] + (1, 1))
+
     def step(self, x: np.ndarray) -> np.ndarray:
-        return self._reduce(self.auto.apply(np.asarray(x, dtype=float)))
+        return self._reduce(self.auto.apply(x))
+
+    def step_with_point(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        y = self.step(x)
+        return y, y
 
     def step_with_jacobian(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.step(x), self._matrix.copy()
+        y = self.step(x)
+        return y, self.frame_jacobian(y)
 
     def step_inverse(self, x: np.ndarray) -> np.ndarray:
-        return self._reduce(self.auto.apply_inverse(np.asarray(x, dtype=float)))
+        return self._reduce(self.auto.apply_inverse(x))
+
+    def step_inverse_with_point(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        x = self.step_inverse(y)
+        return x, x
 
     def step_inverse_with_jacobian(
         self, y: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        return self.step_inverse(y), self._matrix.copy()
+        x = self.step_inverse(y)
+        return x, self.frame_jacobian(x)
 
 
 # ---------------------------------------------------------------------------
@@ -569,16 +585,17 @@ def subspace_intersection(q1: np.ndarray, q2: np.ndarray, dim: int) -> np.ndarra
     complements; the ``dim`` smallest right singular directions of the
     stacked complements realize it.  Column signs are normalized (the
     entry of largest magnitude is made positive) for determinism.
+    Stacks of frame pairs, (N, n, k), give an (N, n, dim) stack.
     """
-    n = q1.shape[0]
-    stacked = np.vstack([q1 @ q1.T - np.eye(n), q2 @ q2.T - np.eye(n)])
-    _, sv, vt = np.linalg.svd(stacked)
-    frame = vt[-dim:, :].T.copy()
-    for j in range(frame.shape[1]):
-        k = int(np.argmax(np.abs(frame[:, j])))
-        if frame[k, j] < 0:
-            frame[:, j] = -frame[:, j]
-    return frame
+    eye = np.eye(q1.shape[-2])
+    stacked = np.concatenate(
+        [q1 @ np.swapaxes(q1, -1, -2) - eye, q2 @ np.swapaxes(q2, -1, -2) - eye],
+        axis=-2,
+    )
+    _, _, vt = np.linalg.svd(stacked)
+    frame = np.swapaxes(vt[..., -dim:, :], -1, -2)
+    lead = np.take_along_axis(frame, np.argmax(np.abs(frame), axis=-2)[..., None, :], -2)
+    return frame * np.where(lead < 0, -1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -586,26 +603,15 @@ def subspace_intersection(q1: np.ndarray, q2: np.ndarray, dim: int) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 
-def _walk(step, y: np.ndarray, steps: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Take ``steps`` steps of ``step`` (a ``*_with_jacobian`` method)
-    from ``y``; return the end point and the Jacobians in walk order."""
-    jacs = []
-    for _ in range(steps):
-        y, jac = step(y)
-        jacs.append(jac)
-    return y, jacs
-
-
-def _jacobians_backward(dyn, x: np.ndarray, steps: int) -> np.ndarray:
-    """Jacobians ordered to push a frame from g^-steps(x) up to x."""
-    _, jacs = _walk(dyn.step_inverse_with_jacobian, x, steps)
-    return np.stack(jacs[::-1])
-
-
-def _jacobians_forward(dyn, x: np.ndarray, steps: int) -> np.ndarray:
-    """Jacobians along the forward orbit from x, for pullback."""
-    _, jacs = _walk(dyn.step_with_jacobian, x, steps)
-    return np.stack(jacs)
+def _walk(step, x: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Take ``steps`` steps of ``step`` (a ``*_with_point`` method) from
+    the point or rows ``x``; return the end and the points, one slice
+    per step in walk order, at which ``dyn.frame_jacobian`` gives each
+    step's derivative: shape ``(steps,) + x.shape``."""
+    points = np.empty((steps,) + np.shape(x))
+    for i in range(steps):
+        x, points[i] = step(x)
+    return x, points
 
 
 @dataclass(frozen=True, eq=False)
@@ -658,17 +664,16 @@ def extract_splitting(
     fast = slow = None
     gap = math.inf
     steps = k_start
-    # Both walks start at x and grow with the depth; jb is nearest first.
+    # Both walks start at x and grow with the depth; pb is nearest first.
     yb = yf = x
-    jb: list[np.ndarray] = []
-    jf: list[np.ndarray] = []
+    pb = pf = np.empty((0,) + x.shape)
     while steps <= k_max:
-        yb, more = _walk(dyn.step_inverse_with_jacobian, yb, steps - len(jb))
-        jb += more
-        yf, more = _walk(dyn.step_with_jacobian, yf, steps - len(jf))
-        jf += more
-        fast = qr_product_forward(np.stack(jb[::-1]), fast_seed)
-        slow = qr_product_pullback(np.stack(jf), slow_seed)
+        yb, more = _walk(dyn.step_inverse_with_point, yb, steps - len(pb))
+        pb = np.concatenate([pb, more])
+        yf, more = _walk(dyn.step_with_point, yf, steps - len(pf))
+        pf = np.concatenate([pf, more])
+        fast = qr_product_forward(pb[::-1], dyn.frame_jacobian, fast_seed)
+        slow = qr_product_pullback(pf, dyn.frame_jacobian, slow_seed)
         if prev_fast is not None:
             gap = max(
                 principal_angle(fast, prev_fast),
@@ -849,12 +854,12 @@ def _rate_sample_points(
 def bunching_report(
     dyn,
     rates: tuple[float, float, float],
+    plane_axes: tuple[int, int],
     n: int = 2,
     eps_rate: float = 0.05,
     sample_count: int = 512,
     inner_scale: float = 0.02,
     outer_radius: float = 0.1,
-    plane_axes: tuple[int, int] = (3, 8),
     seed: int = 0,
     extraction_steps: int = 80,
 ) -> RateReport:
@@ -864,48 +869,44 @@ def bunching_report(
     power iteration at fixed depth, the n-step derivative product is
     formed, and its singular values restricted to each bundle are
     aggregated into the worst observed stable/center/unstable growth.
-    ``rates`` supplies the eigenvalue triple entering the bounds.
+    ``rates`` supplies the eigenvalue triple entering the bounds, and
+    ``plane_axes`` the rotation plane (the plan's ``step.axes``) whose
+    in-plane rays are sampled.  All samples are walked and transported
+    together, as one (N, 9) batch.
     """
     l1, l2, l3 = rates
     rng = np.random.default_rng(seed)
-    points = _rate_sample_points(
-        rng, dyn, sample_count, inner_scale, outer_radius, plane_axes
+    x = np.array(
+        _rate_sample_points(rng, dyn, sample_count, inner_scale, outer_radius, plane_axes)
     )
-
-    s_max = -math.inf
-    c_lo = math.inf
-    c_hi = -math.inf
-    u_min = math.inf
-    # QR transport is column-nested (leading columns of a transported frame
-    # depend on the leading seed columns only), so unstable leads upper and
-    # stable leads lower.
+    # All samples are walked together; QR transport is column-nested (leading
+    # columns of a transported frame depend on the leading seed columns
+    # only), so unstable leads upper and stable leads lower.
     upper_seed = _axes_frame(EXPANDING_AXES + CENTER_AXES)
     lower_seed = _axes_frame(STRONG_STABLE_AXES + CENTER_AXES)
+    _, pb = _walk(dyn.step_inverse_with_point, x, extraction_steps)
+    _, pf = _walk(dyn.step_with_point, x, max(extraction_steps, n))
+    q_upper = qr_product_forward(pb[::-1], dyn.frame_jacobian, upper_seed)
+    q_lower = qr_product_pullback(pf[:extraction_steps], dyn.frame_jacobian, lower_seed)
+    q_unstable = q_upper[..., : len(EXPANDING_AXES)]
+    q_stable = q_lower[..., : len(STRONG_STABLE_AXES)]
+    q_center = subspace_intersection(q_upper, q_lower, len(CENTER_AXES))
 
-    for x in points:
-        jb = _jacobians_backward(dyn, x, extraction_steps)
-        jf = _jacobians_forward(dyn, x, max(extraction_steps, n))
-        q_upper = qr_product_forward(jb, upper_seed)
-        q_lower = qr_product_pullback(jf[:extraction_steps], lower_seed)
-        q_unstable = q_upper[:, : len(EXPANDING_AXES)]
-        q_stable = q_lower[:, : len(STRONG_STABLE_AXES)]
-        q_center = subspace_intersection(q_upper, q_lower, len(CENTER_AXES))
-
-        # The n-step derivative, folded as CocycleProduct.matrix folds it.
-        t = np.eye(DIM)
-        for f in jf[:n]:
-            t = f @ t
-        sv_s = np.linalg.svd(t @ q_stable, compute_uv=False)
-        sv_c = np.linalg.svd(t @ q_center, compute_uv=False)
-        sv_u = np.linalg.svd(t @ q_unstable, compute_uv=False)
-        s_max = max(s_max, float(sv_s[0]))
-        c_lo = min(c_lo, float(sv_c[-1]))
-        c_hi = max(c_hi, float(sv_c[0]))
-        u_min = min(u_min, float(sv_u[-1]))
+    # The n-step derivatives, folded as CocycleProduct.matrix folds them.
+    t = np.eye(DIM)
+    for p in pf[:n]:
+        t = dyn.frame_jacobian(p) @ t
+    sv_s = np.linalg.svd(t @ q_stable, compute_uv=False)
+    sv_c = np.linalg.svd(t @ q_center, compute_uv=False)
+    sv_u = np.linalg.svd(t @ q_unstable, compute_uv=False)
+    s_max = float(sv_s[:, 0].max())
+    c_lo = float(sv_c[:, -1].min())
+    c_hi = float(sv_c[:, 0].max())
+    u_min = float(sv_u[:, -1].min())
 
     return RateReport(
         exponent=n,
-        sample_count=len(points),
+        sample_count=len(x),
         s_max=s_max,
         c_lo=c_lo,
         c_hi=c_hi,
@@ -980,28 +981,22 @@ def splitting_deviation_sweep(
     sweep isolates the effect of the support radius alone.
     """
     rng = np.random.default_rng(seed)
-    dirs = _probe_directions(rng, probe_count)
+    x = probe_radius * np.array(_probe_directions(rng, probe_count))
     unstable_ref = _axes_frame(EXPANDING_AXES)
     stable_ref = _axes_frame(STRONG_STABLE_AXES)
-    unstable_seed = unstable_ref.copy()
-    stable_seed = stable_ref.copy()
 
     out = []
     for radius in radii:
+        # All probes are walked together.
         dyn = dynamics_for_radius(radius)
-        worst = 0.0
-        for v in dirs:
-            x = probe_radius * v
-            q_u = qr_product_forward(
-                _jacobians_backward(dyn, x, extraction_steps), unstable_seed
-            )
-            q_s = qr_product_pullback(
-                _jacobians_forward(dyn, x, extraction_steps), stable_seed
-            )
-            worst = max(
-                worst,
-                principal_angle(q_u, unstable_ref),
-                principal_angle(q_s, stable_ref),
-            )
-        out.append(SweepPoint(radius=float(radius), deviation=float(worst), probes=len(dirs)))
+        _, pb = _walk(dyn.step_inverse_with_point, x, extraction_steps)
+        _, pf = _walk(dyn.step_with_point, x, extraction_steps)
+        q_u = qr_product_forward(pb[::-1], dyn.frame_jacobian, unstable_ref)
+        q_s = qr_product_pullback(pf, dyn.frame_jacobian, stable_ref)
+        worst = max(
+            [0.0]
+            + [principal_angle(q, unstable_ref) for q in q_u]
+            + [principal_angle(q, stable_ref) for q in q_s]
+        )
+        out.append(SweepPoint(radius=float(radius), deviation=float(worst), probes=len(x)))
     return tuple(out)

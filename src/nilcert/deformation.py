@@ -329,10 +329,25 @@ class LocalRotationMap:
     def support_radius(self) -> float:
         return self.profile.support_radius
 
-    def apply(self, x) -> np.ndarray:
+    def _centered_rows(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """``x`` relative to the centre, and that as an (N, 9) stack of rows."""
         v = np.asarray(x, dtype=float) - self.center
-        out = _kernels.h_apply(v, self.profile.params, self.plane.e1, self.plane.e2)
-        return out + self.center
+        return v, v.reshape(-1, DIM)
+
+    def _fill_inside(self, kernel, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Set ``out[i] = kernel(rows[i])`` for every row not outside the
+        support ball.  From the support radius on the profile angle is
+        exactly 0, and ``out`` already holds the kernel's value there."""
+        p, e1, e2 = self.profile.params, self.plane.e1, self.plane.e2
+        for i in np.flatnonzero(~(_kernels.row_radii(rows) >= self.support_radius)):
+            out[i] = kernel(rows[i], p, e1, e2)
+        return out
+
+    def apply(self, x) -> np.ndarray:
+        """Image of a point (9,), or of each row of an (N, 9) array."""
+        v, rows = self._centered_rows(x)
+        out = self._fill_inside(_kernels.h_apply, rows, rows.copy())
+        return out.reshape(v.shape) + self.center
 
     def apply_inverse(self, y) -> np.ndarray:
         """Inverse: rotate back by the angle read at the image radius.
@@ -341,21 +356,25 @@ class LocalRotationMap:
         angle is the profile at ``|y|``, summed as :meth:`apply` sums
         ``|x|``, and the round trip is exact up to rounding.
         """
-        v = np.asarray(y, dtype=float) - self.center
-        p, e1, e2 = self.profile.params, self.plane.e1, self.plane.e2
-        return _kernels.h_apply_inverse(v, p, e1, e2) + self.center
+        v, rows = self._centered_rows(y)
+        out = self._fill_inside(_kernels.h_apply_inverse, rows, rows.copy())
+        return out.reshape(v.shape) + self.center
 
     def jacobian(self, x) -> np.ndarray:
         """Derivative at ``x``: the in-place rotation plus a rank-one radial term.
 
-        The radial term carries the factor ``r psi'(r)``, bounded by the
-        profile's slope bound, so the Jacobian never blows up even where
-        ``psi'`` itself is enormous (tiny radii on the logarithmic ramp).
-        At the centre the derivative is exactly the rotation by the
-        plateau angle.
+        For an (N, 9) array the result is the (N, 9, 9) stack of the
+        rows' derivatives.  Outside the support ball it is exactly the
+        identity, the kernel's value at angle 0.  The radial term carries
+        the factor ``r psi'(r)``, bounded by the profile's slope bound, so
+        the Jacobian never blows up even where ``psi'`` itself is
+        enormous (tiny radii on the logarithmic ramp).  At the centre the
+        derivative is exactly the rotation by the plateau angle.
         """
-        v = np.asarray(x, dtype=float) - self.center
-        return _kernels.h_jacobian(v, self.profile.params, self.plane.e1, self.plane.e2)
+        v, rows = self._centered_rows(x)
+        out = np.tile(np.eye(DIM), (rows.shape[0], 1, 1))
+        out = self._fill_inside(_kernels.h_jacobian, rows, out)
+        return out.reshape(v.shape[:-1] + (DIM, DIM))
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +399,13 @@ class DeformedMap:
     below the shortest lattice displacement), so the reduced
     representative is the meaningful one.  Derivatives come only from
     :meth:`step_with_jacobian` and :meth:`step_inverse_with_jacobian`,
-    at the same reduced points as the steps they belong to.
+    or from :meth:`frame_jacobian` at the points that
+    :meth:`step_with_point` and :meth:`step_inverse_with_point` return:
+    the same reduced points as the steps they belong to.
+
+    Every stepping method takes one point (9,) or an (N, 9) array of
+    points stepped together; each row's result is bit-identical to
+    stepping that row alone.
     """
 
     auto: AutomorphismSpec
@@ -416,57 +441,80 @@ class DeformedMap:
         """Frame derivative at ``x``, taken along the reduced step."""
         return self.step_with_jacobian(x)[1]
 
-    def step(self, x) -> np.ndarray:
-        """One step of the quotient dynamics on reduced representatives.
+    def frame_jacobian(self, p) -> np.ndarray:
+        """Frame derivative ``Dh(p) . B`` of the step whose rotation acts
+        at the reduced point ``p``: the point that :meth:`step_with_point`
+        and :meth:`step_inverse_with_point` return.  For an (N, 9) array
+        it is the (N, 9, 9) stack; rows outside the support ball get
+        exactly ``diag(B)`` without a kernel call.
+        """
+        return self.rotation.jacobian(p) * self.auto.diag
+
+    def step_with_point(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """One reduced step, and the reduced point its derivative is taken at.
 
         The automorphism image is reduced *before* the rotation is
         applied: support membership is a property of the manifold point,
         so it must be decided on the small representative.  (The
         rotation is centred at the origin and preserves the norm, so no
-        second reduction is needed.)
+        second reduction is needed.)  Returns ``(h(y), y)`` with ``y``
+        the reduced image of ``B x``; ``x`` may be one point (9,) or an
+        (N, 9) array of points stepped together.
         """
         y = self.auto.apply(x)
         if self.lattice is not None:
             y = self.lattice.reduce(y)
-        return self.rotation.apply(y)
+        return self.rotation.apply(y), y
+
+    def step(self, x) -> np.ndarray:
+        """One step of the quotient dynamics on reduced representatives."""
+        return self.step_with_point(x)[0]
 
     def step_with_jacobian(self, x) -> tuple[np.ndarray, np.ndarray]:
         """One reduced step together with the frame derivative along it.
 
-        The derivative is evaluated at the reduced automorphism image,
-        matching :meth:`step`; left translations act trivially on the
-        left-invariant frame, so reduction does not otherwise enter.
+        ``x`` is one point (9,) or (N, 9) points, giving (9, 9) or
+        (N, 9, 9) derivatives.  The derivative is evaluated at the
+        reduced automorphism image, matching :meth:`step`; left
+        translations act trivially on the left-invariant frame, so
+        reduction does not otherwise enter.  Rows whose image lies
+        outside the support ball get exactly ``diag(B)``.
         """
-        y = self.auto.apply(x)
-        if self.lattice is not None:
-            y = self.lattice.reduce(y)
-        jac = self.rotation.jacobian(y) * self.auto.diag[np.newaxis, :]
-        return self.rotation.apply(y), jac
+        nxt, p = self.step_with_point(x)
+        return nxt, self.frame_jacobian(p)
 
-    def step_inverse(self, y) -> np.ndarray:
-        """Inverse quotient step: undo the rotation, the automorphism, reduce.
-
-        This inverts :meth:`step` only for a reduced ``y``: the angle is read
-        at ``|y|``, so an unreduced representative of a point inside the
-        support undoes no rotation.  Every walk starts at a small point and
-        so keeps ``y`` reduced; ``y`` is not reduced here.
-        """
-        x = self.auto.apply_inverse(self.rotation.apply_inverse(y))
-        if self.lattice is not None:
-            x = self.lattice.reduce(x)
-        return x
-
-    def step_inverse_with_jacobian(self, y) -> tuple[np.ndarray, np.ndarray]:
-        """Inverse step ``x = g^-1(y)`` with the forward derivative at ``x``.
+    def step_inverse_with_point(self, y) -> tuple[np.ndarray, np.ndarray]:
+        """Inverse step ``x = g^-1(y)``, and the point ``z`` at which the
+        forward step from ``x`` takes its derivative.
 
         The forward step from ``x`` rotates the reduced image ``z`` that
-        undoing the rotation of ``y`` recovers, so the derivative
-        ``Dh(z) . B`` is taken at that same ``z`` and no second
-        reduction is needed.  As for :meth:`step_inverse`, ``y`` must be
-        reduced.
+        undoing the rotation of ``y`` recovers, so no second reduction is
+        needed.  This inverts :meth:`step` only for reduced rows ``y``:
+        the angle is read at ``|y|``, so an unreduced representative of a
+        point inside the support undoes no rotation.  Every walk starts
+        at small points and so keeps ``y`` reduced; ``y`` is not reduced
+        here.
         """
         z = self.rotation.apply_inverse(y)
         x = self.auto.apply_inverse(z)
         if self.lattice is not None:
             x = self.lattice.reduce(x)
-        return x, self.rotation.jacobian(z) * self.auto.diag[np.newaxis, :]
+        return x, z
+
+    def step_inverse(self, y) -> np.ndarray:
+        """Inverse quotient step: undo the rotation, the automorphism, reduce.
+
+        As for :meth:`step_inverse_with_point`, ``y`` must be reduced.
+        """
+        return self.step_inverse_with_point(y)[0]
+
+    def step_inverse_with_jacobian(self, y) -> tuple[np.ndarray, np.ndarray]:
+        """Inverse step ``x = g^-1(y)`` with the forward derivative at ``x``.
+
+        Takes one point (9,) or (N, 9) points, which must be reduced (see
+        :meth:`step_inverse_with_point`); the derivative ``Dh(z) . B`` is
+        taken at the un-rotated point ``z``, exactly ``diag(B)`` for rows
+        outside the support ball.
+        """
+        x, z = self.step_inverse_with_point(y)
+        return x, self.frame_jacobian(z)

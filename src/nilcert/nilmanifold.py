@@ -60,6 +60,17 @@ def _as_vec(x) -> np.ndarray:
     return v
 
 
+def _as_rows(x) -> np.ndarray:
+    """A vector (9,) or a stack of row vectors (N, 9), as floats."""
+    v = np.asarray(x, dtype=float)
+    if v.ndim not in (1, 2) or v.shape[-1] != DIM:
+        raise ValueError(
+            f"expected a vector of length {DIM} or an (N, {DIM}) array, "
+            f"got shape {v.shape}"
+        )
+    return v
+
+
 def bracket(u, v) -> np.ndarray:
     """Lie bracket of two algebra vectors.
 
@@ -164,10 +175,11 @@ class AutomorphismSpec:
         return 1.0 / self.diag
 
     def apply(self, x) -> np.ndarray:
-        return self.diag * _as_vec(x)
+        """Image of a vector, or of each row of an (N, 9) array."""
+        return self.diag * _as_rows(x)
 
     def apply_inverse(self, x) -> np.ndarray:
-        return _as_vec(x) / self.diag
+        return _as_rows(x) / self.diag
 
     def expansion_bounds(self) -> tuple[float, float]:
         """(Smallest, largest) singular value of the automorphism."""
@@ -305,20 +317,24 @@ class LatticeSpec:
     # -- reduction -------------------------------------------------------------
 
     def _nearest_plane(self, v: np.ndarray) -> np.ndarray:
-        """Babai nearest-plane: a lattice vector close to ``v``.
+        """Babai nearest-plane: for each row of ``v`` (N, 9), a lattice
+        vector close to it.
 
         Walks the precomputed Gram-Schmidt directions from last to
-        first, rounding one coefficient at a time.  Greedy: the result
-        is a good, not optimal, nearest lattice point.
+        first, rounding one coefficient per row at a time; a row whose
+        coefficient rounds to zero takes a zero step, which leaves its
+        lattice vector as it is.  Greedy: the result is a good, not
+        optimal, nearest lattice point.
         """
         gso = self._gso  # type: ignore[attr-defined]
         gso_sq = self._gso_sq  # type: ignore[attr-defined]
         rem = v.copy()
-        gamma = np.zeros(DIM)
+        gamma = np.zeros_like(v)
         for j in range(DIM - 1, -1, -1):
-            cj = np.round((gso[:, j] @ rem) / gso_sq[j])
-            if cj != 0.0:
-                step = cj * self.basis[:, j]
+            # vecdot takes one BLAS dot per row, the scalar ``gso[:, j] @ rem``.
+            c = np.round(np.vecdot(rem, gso[:, j]) / gso_sq[j])
+            if c.any():
+                step = c[:, np.newaxis] * self.basis[:, j]
                 rem -= step
                 gamma += step
         return gamma
@@ -326,37 +342,46 @@ class LatticeSpec:
     def reduce(self, v) -> np.ndarray:
         """Greedy small representative of the left coset of ``v``.
 
+        ``v`` is one vector (9,) or a stack of rows (N, 9), each reduced
+        on its own; the result has the shape of ``v``, and row ``i`` of a
+        stack is bit-identical to reducing ``v[i]`` alone.
+
         Picks a lattice element ``gamma`` by Babai nearest-plane and
         replaces ``v`` by ``gamma^{-1} v`` (whose logarithm is
         ``v - gamma - [gamma, v]/2``).  The bracket term moves the
-        central slots, so one further correction pass is applied.  The
-        best candidate by Euclidean norm is returned; in particular the
-        output norm never exceeds the input norm, and the map is
-        idempotent on its fixed points.
+        central slots, so one further correction pass is applied to the
+        rows that moved.  The best candidate by Euclidean norm is kept
+        per row; in particular the output norm never exceeds the input
+        norm, and the map is idempotent on its fixed points.
 
         The representative is greedy, not canonical: inputs near the
         boundary of the fundamental domain may reduce to either side.
         """
-        x = _as_vec(v)
-        best = x
-        best_n = float(np.linalg.norm(x))
-        cur = x
+        x = _as_rows(v)
+        rows = x.reshape(-1, DIM)
+        best = rows.copy()
+        # vecdot takes one BLAS dot per row, as np.linalg.norm does.
+        best_n = np.sqrt(np.vecdot(rows, rows))
+        live = np.ones(rows.shape[0], dtype=bool)
+        cur = rows
         for _ in range(2):
             gamma = self._nearest_plane(cur)
-            if not np.any(gamma):
+            live &= np.any(gamma != 0.0, axis=1)
+            if not live.any():
                 break
-            cur = cur - gamma - 0.5 * bracket(gamma, cur)
-            n = float(np.linalg.norm(cur))
-            if n < best_n:
-                best, best_n = cur, n
-        return best
+            cur = cur - gamma - 0.5 * _kernels.bracket9(gamma, cur)
+            n = np.sqrt(np.vecdot(cur, cur))
+            better = live & (n < best_n)
+            best[better] = cur[better]
+            best_n[better] = n[better]
+        return best.reshape(x.shape)
 
 
 def reduce_mod_lattice(x, lattice: LatticeSpec):
     """Reduce a point to a small representative of its left coset.
 
-    Accepts and returns the type of ``x`` (:class:`GroupElement` or a
-    bare logarithmic coordinate vector).
+    Accepts and returns the type of ``x`` (:class:`GroupElement`, a bare
+    logarithmic coordinate vector, or an (N, 9) stack of them).
     """
     if isinstance(x, GroupElement):
         return GroupElement(lattice.reduce(x.log))

@@ -14,10 +14,6 @@ checks:
   given annulus: the moving moduli fill two explicit intervals and the
   others stay put.  It certifies the answer with outward rounding; no
   angle is sampled;
-* :func:`find_realifying_angle` — the smallest rotation making a
-  complex eigenvalue pair real;
-* :func:`jordan_detuning` — a small rotation splitting a Jordan block
-  into distinct real eigenvalues;
 * :func:`plan_center_collapse` — the redistribution plan itself.
 
 Planned angles are solved by bisection on the trace, which is monotone
@@ -47,9 +43,6 @@ __all__ = [
     "annulus_avoidance",
     "in_plane_eigen",
     "solve_plane_rotation_angle",
-    "find_realifying_angle",
-    "jordan_detuning",
-    "check_realification_admissible",
     "plan_center_collapse",
     "apply_plan",
 ]
@@ -248,122 +241,6 @@ def solve_plane_rotation_angle(
         else:
             hi = mid
     return (lo + hi) / 2.0
-
-
-# ---------------------------------------------------------------------------
-# Realification and detuning
-# ---------------------------------------------------------------------------
-
-
-def _disc_2x2(m: np.ndarray, theta: float) -> float:
-    tr = (m[0, 0] + m[1, 1]) * math.cos(theta) + (m[0, 1] - m[1, 0]) * math.sin(
-        theta
-    )
-    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-    return tr * tr - 4.0 * det
-
-
-def find_realifying_angle(m2: np.ndarray, tol: float = 1e-10) -> float:
-    """Smallest ``a > 0`` making the eigenvalues of ``R_a . m2`` real.
-
-    The discriminant of the rotated 2x2 map is
-    ``(T^2 + D^2) cos^2(theta - theta*) - 4 det`` with ``T`` the trace,
-    ``D`` the skew part ``m01 - m10`` and ``theta* = atan2(D, T)``; the
-    identity ``T^2 + D^2 - 4 det = (m00 - m11)^2 + (m01 + m10)^2 >= 0``
-    shows a realifying angle always exists, degenerating to a touching
-    point exactly for conformal maps (where the eigenvalue pair keeps
-    its modulus for every angle until realification).  The band entry
-    angle from the closed form is refined by sign-change bisection to
-    ``tol`` whenever the band has numerical width.
-
-    Inputs with real eigenvalues return ``0.0``.
-    """
-    m2 = np.asarray(m2, dtype=float)
-    if m2.shape != (2, 2):
-        raise ValueError("expected a 2x2 matrix")
-    if _disc_2x2(m2, 0.0) >= 0.0:
-        return 0.0
-    t = m2[0, 0] + m2[1, 1]
-    d = m2[0, 1] - m2[1, 0]
-    det = m2[0, 0] * m2[1, 1] - m2[0, 1] * m2[1, 0]
-    amp = t * t + d * d
-    # Complex pair forces det > trace^2/4 >= 0.
-    cphi = min(1.0, 2.0 * math.sqrt(det) / math.sqrt(amp))
-    delta = math.acos(cphi)  # half-width of the real band around theta*
-    theta_star = math.atan2(d, t)
-    a = (theta_star - delta) % math.pi
-    if a < 1e-13:
-        a = math.pi
-    if delta <= 1e-9:
-        # Conformal (touching) case: the closed form is the answer; there is
-        # no sign change to bisect.
-        return a
-    # Bracket the band entry: disc < 0 just below a, >= 0 just above.
-    h = min(delta, 1e-3, a / 2)
-    lo, hi = a - h, a + h
-    # Guard the bracket (floating point may have put `a` slightly inside).
-    while _disc_2x2(m2, lo) >= 0.0 and a - lo < delta:
-        lo = a - 2 * (a - lo)
-    while _disc_2x2(m2, hi) < 0.0 and hi - a < delta:
-        hi = a + 2 * (hi - a)
-    while hi - lo > tol:
-        mid = (lo + hi) / 2.0
-        if _disc_2x2(m2, mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
-def jordan_detuning(lam: float, b: float, theta_max: float = 0.1) -> float:
-    """Small rotation splitting a 2x2 Jordan block into distinct real pair.
-
-    For the block ``[[lam, b], [0, lam]]`` the rotated trace is
-    ``2 lam cos(theta) + b sin(theta)``; choosing ``sign(theta) =
-    sign(b * lam)`` makes the trace magnitude grow to first order, so a
-    small rotation pushes ``trace^2`` strictly above ``4 lam^2`` (the
-    determinant is rotation-invariant).  The returned angle has
-    ``|theta| <= theta_max``, halved from ``theta_max`` until the strict
-    inequality holds.
-
-    Raises :class:`PlanningError` for ``b = 0`` (not a Jordan block) or
-    ``lam = 0``.
-    """
-    if b == 0:
-        raise PlanningError("b = 0 is not a Jordan block; nothing to detune")
-    if lam == 0:
-        raise PlanningError("zero eigenvalue cannot be detuned by rotation")
-    theta = math.copysign(theta_max, b * lam)
-    for _ in range(80):
-        tr = 2.0 * lam * math.cos(theta) + b * math.sin(theta)
-        if tr * tr > 4.0 * lam * lam:
-            return theta
-        theta /= 2.0
-    raise PlanningError(
-        f"no detuning angle found below {theta_max} for lam={lam}, b={b}"
-    )
-
-
-def check_realification_admissible(
-    m2: np.ndarray, annuli: Sequence[AnnulusSpec]
-) -> None:
-    """Reject realification of a pair whose modulus sits in a domination annulus.
-
-    A complex pair keeps its modulus ``sqrt(det)`` until the realifying
-    angle, so if that modulus lies inside an annulus the rotated family
-    cannot avoid it.  Raises :class:`PlanningError` in that case.
-    """
-    m2 = np.asarray(m2, dtype=float)
-    if _disc_2x2(m2, 0.0) >= 0.0:
-        return
-    modulus = math.sqrt(m2[0, 0] * m2[1, 1] - m2[0, 1] * m2[1, 0])
-    for ann in annuli:
-        if ann.distance(modulus) <= 0:
-            raise PlanningError(
-                f"complex pair of modulus {modulus:.6g} lies inside the "
-                f"domination annulus [{ann.alpha_q:.6g}, {ann.beta_q:.6g}]; "
-                "realification would cross it"
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -75,6 +75,11 @@ def collapse_angle(plan) -> float:
 
 
 @pytest.fixture(scope="session")
+def plane_axes(plan) -> tuple[int, int]:
+    return plan.steps[-1].axes
+
+
+@pytest.fixture(scope="session")
 def rotation_plane() -> RotationPlane:
     return RotationPlane.from_basis_indices(3, 8)
 

@@ -316,15 +316,17 @@ def test_criterion_5_uniform_domination_and_robustness(
 
 
 def test_criterion_6_rates_and_bunching(
-    criterion_reporter, eigendata, auto, lattice, deformed
+    criterion_reporter, eigendata, auto, lattice, deformed, plane_axes
 ):
     start = time.perf_counter()
     l1, l2, l3 = eigendata.values
     report = bunching_report(
-        deformed, (l1, l2, l3), n=2, sample_count=512, seed=0
+        deformed, (l1, l2, l3), plane_axes, n=2, sample_count=512, seed=0
     )
     lin = LinearDynamics(auto, lattice)
-    base = bunching_report(lin, (l1, l2, l3), n=2, sample_count=512, seed=0)
+    base = bunching_report(
+        lin, (l1, l2, l3), plane_axes, n=2, sample_count=512, seed=0
+    )
     elapsed = time.perf_counter() - start
 
     nu_err = abs(base.nu - l1)

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nilcert import cone_certifier as cc
-from nilcert._kernels import qr_product_forward, qr_product_pullback
+from nilcert._kernels import mat_mul, qr_product_forward, qr_product_pullback
 from nilcert.cone_certifier import (
     CENTER_AXES,
     CertificationError,
@@ -26,10 +26,11 @@ from nilcert.cone_certifier import (
     image_cone,
     principal_angle,
     robustness_radius,
+    splitting_deviation_sweep,
     splitting_distance,
     subspace_intersection,
 )
-from nilcert.deformation import RotationPlane
+from nilcert.deformation import DeformedMap, LocalRotationMap, RotationPlane, make_profile
 from nilcert.nilmanifold import DIM
 
 
@@ -279,32 +280,38 @@ def test_linear_dynamics_matches_automorphism(auto, lattice):
 
 
 def test_rates_transport_two_nested_frames_per_sample(
-    deformed, eigendata, monkeypatch
+    deformed, eigendata, plane_axes, monkeypatch
 ):
-    # Column-nested QR transport: the unstable and stable frames are the
-    # leading columns of the upper and lower frames, bit for bit, so each
-    # sample needs two transports.
+    # Column-nested QR transport: for every sample the unstable and stable
+    # frames are the leading columns of its upper and lower frames, bit for
+    # bit, so one report needs two batched transports, not two per sample.
     calls = []
 
     def recording(transport):
-        def run(jacs, q0):
-            calls.append((transport, jacs, q0, transport(jacs, q0)))
+        def run(points, jacobian, q0):
+            calls.append((transport, points, jacobian, q0, transport(points, jacobian, q0)))
             return calls[-1][-1]
 
         return run
 
     monkeypatch.setattr(cc, "qr_product_forward", recording(qr_product_forward))
     monkeypatch.setattr(cc, "qr_product_pullback", recording(qr_product_pullback))
-    report = bunching_report(deformed, eigendata.values, n=2, sample_count=8, seed=3)
-    assert len(calls) == 2 * report.sample_count
-    for transport, jacs, q0, q in calls:
-        lead = 3 if transport is qr_product_forward else 4
-        assert np.array_equal(q[:, :lead], transport(jacs, q0[:, :lead]))
-
-
-def test_bunching_report_small_sample(deformed, eigendata):
     report = bunching_report(
-        deformed, eigendata.values, n=2, sample_count=96, seed=0
+        deformed, eigendata.values, plane_axes, n=2, sample_count=8, seed=3
+    )
+    assert len(calls) == 2
+    for transport, points, jacobian, q0, q in calls:
+        lead = 3 if transport is qr_product_forward else 4
+        assert points.shape == (80, report.sample_count, DIM)
+        assert q.shape == (report.sample_count,) + q0.shape
+        for i in range(report.sample_count):
+            alone = transport(points[:, i], jacobian, q0[:, :lead])
+            assert np.array_equal(q[i, :, :lead], alone)
+
+
+def test_bunching_report_small_sample(deformed, eigendata, plane_axes):
+    report = bunching_report(
+        deformed, eigendata.values, plane_axes, n=2, sample_count=96, seed=0
     )
     assert report.all_bullets_hold
     assert report.center_bunched
@@ -312,11 +319,104 @@ def test_bunching_report_small_sample(deformed, eigendata):
     assert report.nu < 1.0 and report.nu_hat < 1.0
 
 
-def test_undeformed_rates_reproduce_spectrum(auto, lattice, eigendata):
+def test_undeformed_rates_reproduce_spectrum(auto, lattice, eigendata, plane_axes):
     l1, _, l3 = eigendata.values
     lin = LinearDynamics(auto, lattice)
     report = bunching_report(
-        lin, eigendata.values, n=2, sample_count=96, seed=0
+        lin, eigendata.values, plane_axes, n=2, sample_count=96, seed=0
     )
     assert report.nu == pytest.approx(l1, abs=1e-9)
     assert report.nu_hat == pytest.approx(1.0 / l3, abs=1e-9)
+
+
+# Oracles that walk and transport each point alone, one 9x9 Jacobian and
+# one 2-D QR or solve per step, as the batched walks must reproduce.
+
+
+def _qr_pos(a):
+    q, r = np.linalg.qr(a)
+    return q * np.where(np.diag(r) < 0.0, -1.0, 1.0)
+
+
+def _alone(dyn, x, steps, seed_b, seed_f, n=0):
+    """Frames pushed along the backward orbit and pulled back along the
+    forward orbit of the single point x, and the forward Jacobians."""
+    back, fwd = [], []
+    y = x
+    for _ in range(steps):
+        y, jac = dyn.step_inverse_with_jacobian(y)
+        back.append(jac)
+    y = x
+    for _ in range(max(steps, n)):
+        y, jac = dyn.step_with_jacobian(y)
+        fwd.append(jac)
+    q_b = seed_b.copy()
+    for jac in back[::-1]:
+        q_b = _qr_pos(mat_mul(jac, q_b))
+    q_f = seed_f.copy()
+    for jac in fwd[:steps][::-1]:
+        q_f = _qr_pos(np.linalg.solve(jac, q_f))
+    return q_b, q_f, fwd
+
+
+def _sweep_dynamics(auto, lattice, plan):
+    step = plan.steps[-1]
+
+    def dynamics_for(scale):
+        if scale == 0.0:
+            return LinearDynamics(auto, lattice)
+        rotation = LocalRotationMap(make_profile(step.angle, scale), step.plane)
+        return DeformedMap(auto=auto, rotation=rotation, lattice=lattice)
+
+    return dynamics_for
+
+
+def test_batched_sweep_matches_points_walked_alone(auto, lattice, plan):
+    radii = (0.05, 6.25e-3, 0.0)
+    dynamics_for = _sweep_dynamics(auto, lattice, plan)
+    sweep = splitting_deviation_sweep(
+        dynamics_for, radii, probe_count=6, seed=2, extraction_steps=90
+    )
+    dirs = cc._probe_directions(np.random.default_rng(2), 6)
+    u_ref = cc._axes_frame(EXPANDING_AXES)
+    s_ref = cc._axes_frame(STRONG_STABLE_AXES)
+    for radius, point in zip(radii, sweep):
+        dyn = dynamics_for(radius)
+        worst = 0.0
+        for v in dirs:
+            q_u, q_s, _ = _alone(dyn, 0.1 * v, 90, u_ref, s_ref)
+            worst = max(worst, principal_angle(q_u, u_ref), principal_angle(q_s, s_ref))
+        assert (point.radius, point.probes) == (radius, 6)
+        assert point.deviation == worst
+    assert sweep[0].deviation > 0.0 and sweep[-1].deviation == 0.0
+
+
+@pytest.mark.parametrize("deformed_map", [True, False])
+def test_batched_rates_match_points_walked_alone(
+    deformed, auto, lattice, eigendata, plane_axes, deformed_map
+):
+    dyn = deformed if deformed_map else LinearDynamics(auto, lattice)
+    report = bunching_report(
+        dyn, eigendata.values, plane_axes, n=3, sample_count=16, seed=4
+    )
+    points = cc._rate_sample_points(
+        np.random.default_rng(4), dyn, 16, 0.02, 0.1, plane_axes
+    )
+    upper_seed = cc._axes_frame(EXPANDING_AXES + CENTER_AXES)
+    lower_seed = cc._axes_frame(STRONG_STABLE_AXES + CENTER_AXES)
+    s_max = c_hi = -np.inf
+    c_lo = u_min = np.inf
+    for x in points:
+        q_upper, q_lower, fwd = _alone(dyn, x, 80, upper_seed, lower_seed, n=3)
+        center = subspace_intersection(q_upper, q_lower, len(CENTER_AXES))
+        t = np.eye(DIM)
+        for f in fwd[:3]:
+            t = f @ t
+        s_max = max(s_max, np.linalg.svd(t @ q_lower[:, :4], compute_uv=False)[0])
+        sv_c = np.linalg.svd(t @ center, compute_uv=False)
+        c_lo, c_hi = min(c_lo, sv_c[-1]), max(c_hi, sv_c[0])
+        u_min = min(u_min, np.linalg.svd(t @ q_upper[:, :3], compute_uv=False)[-1])
+    assert report.sample_count == 16
+    assert (report.s_max, report.c_lo, report.c_hi, report.u_min) == (
+        s_max, c_lo, c_hi, u_min
+    )

@@ -277,3 +277,60 @@ def test_expansion_constant_bounds_jacobians(deformed, auto):
     for _ in range(20):
         x = rng.normal(size=DIM) * 0.02
         assert np.linalg.norm(deformed.jacobian_at(x), 2) <= k + 1e-9
+
+
+def _oracle_rows(deformed, n=400, seed=12):
+    """Reduced rows inside and outside the support, and unreduced ones."""
+    rng = np.random.default_rng(seed)
+    r = deformed.rotation.support_radius
+    x = rng.normal(size=(n, DIM))
+    x /= np.linalg.norm(x, axis=1)[:, None]
+    x *= np.concatenate(
+        [
+            rng.uniform(0.0, r, n // 4),  # inside the support
+            r * np.geomspace(1e-12, 1.0, n // 4, endpoint=False),  # deep inside
+            rng.uniform(r, 0.3, n // 4),  # outside
+            rng.uniform(0.3, 3.0, n - 3 * (n // 4)),  # unreduced
+        ]
+    )[:, None]
+    x[0] = 0.0
+    x[1, 3] = r  # exactly on the support radius
+    x[1, 8] = 0.0
+    return x
+
+
+def test_batched_steps_match_scalar_steps_bit_for_bit(deformed, auto, lattice):
+    x = _oracle_rows(deformed)
+    p = deformed.rotation.profile.params
+    e1, e2 = deformed.rotation.plane.e1, deformed.rotation.plane.e2
+    r = deformed.rotation.support_radius
+
+    def same(a, b):
+        return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+    nxt, jac = deformed.step_with_jacobian(x)
+    y = lattice.reduce(auto.apply(x))
+    assert np.sum(np.linalg.norm(y, axis=1) < r) > 100
+    assert np.sum(np.linalg.norm(y, axis=1) >= r) > 100
+    for i, xi in enumerate(x):
+        # The scalar kernels, one row at a time, are the oracle.
+        assert same(nxt[i], _kernels.h_apply(y[i], p, e1, e2))
+        assert same(jac[i], _kernels.h_jacobian(y[i], p, e1, e2) * auto.diag)
+        one_nxt, one_jac = deformed.step_with_jacobian(xi)
+        assert same(one_nxt, nxt[i]) and same(one_jac, jac[i])
+    assert same(deformed.step(x), nxt)
+
+    # step_inverse needs reduced rows.
+    y = nxt
+    prev, jac = deformed.step_inverse_with_jacobian(y)
+    for i, yi in enumerate(y):
+        z = _kernels.h_apply_inverse(yi, p, e1, e2)
+        assert same(prev[i], lattice.reduce(z / auto.diag))
+        assert same(jac[i], _kernels.h_jacobian(z, p, e1, e2) * auto.diag)
+        one_prev, one_jac = deformed.step_inverse_with_jacobian(yi)
+        assert same(one_prev, prev[i]) and same(one_jac, jac[i])
+    assert same(deformed.step_inverse(y), prev)
+    # Outside the support the derivative is exactly diag(B).
+    outside = _kernels.row_radii(y) >= r
+    assert outside.sum() > 100
+    assert all(same(j, np.eye(DIM) * auto.diag) for j in jac[outside])

@@ -158,3 +158,64 @@ def test_lattice_generators_shape_and_rank(lattice):
     gen = lattice.basis
     assert gen.shape == (DIM, DIM)
     assert np.linalg.matrix_rank(gen) == DIM
+
+
+def _scalar_reduce(lattice, v):
+    """One point at a time, with numpy scalars: the oracle for the batched
+    Babai reduction."""
+    gso, gso_sq = lattice._gso, lattice._gso_sq
+    best = cur = v
+    best_n = float(np.linalg.norm(v))
+    for _ in range(2):
+        rem = cur.copy()
+        gamma = np.zeros(DIM)
+        for j in range(DIM - 1, -1, -1):
+            cj = np.round((gso[:, j] @ rem) / gso_sq[j])
+            if cj != 0.0:
+                step = cj * lattice.basis[:, j]
+                rem -= step
+                gamma += step
+        if not np.any(gamma):
+            break
+        cur = cur - gamma - 0.5 * bracket(gamma, cur)
+        n = float(np.linalg.norm(cur))
+        if n < best_n:
+            best, best_n = cur, n
+    return best
+
+
+def _reduce_oracle_points(lattice):
+    rng = np.random.default_rng(11)
+    gso, gso_sq = lattice._gso, lattice._gso_sq
+    # Random points over several scales.
+    bulk = rng.normal(size=(800, DIM)) * rng.uniform(1e-3, 20.0, size=(800, 1))
+    # Lattice-generator translates of points inside a support ball.
+    inside = rng.normal(size=(500, DIM))
+    inside *= rng.uniform(0.0, 0.05, size=(500, 1)) / np.linalg.norm(inside, axis=1)[:, None]
+    translates = inside + (lattice.basis @ rng.integers(-2, 3, size=(DIM, 500))).T
+    # Fixed points near 0, signed zeros included.
+    near_zero = rng.normal(size=(300, DIM)) * np.geomspace(1e-18, 1e-2, 300)[:, None]
+    near_zero[:20] = 0.0
+    near_zero[10:20] = -0.0
+    # Babai coefficient along the last GSO direction within 1e-12 of k + 1/2.
+    base = rng.normal(size=(500, DIM)) * 2.0
+    coef = base @ gso[:, -1] / gso_sq[-1]
+    target = np.floor(coef) + 0.5 + rng.uniform(-1e-12, 1e-12, size=500)
+    half = base + (target - coef)[:, None] * gso[:, -1]
+    return np.concatenate([bulk, translates, near_zero, half]), half
+
+
+def test_batched_reduce_matches_scalar_oracle_bit_for_bit(lattice):
+    points, half = _reduce_oracle_points(lattice)
+    assert points.shape[0] >= 2000
+    coef = half @ lattice._gso[:, -1] / lattice._gso_sq[-1]
+    assert np.max(np.abs(coef - np.floor(coef) - 0.5)) < 1.1e-12
+    expected = np.array([_scalar_reduce(lattice, v) for v in points])
+    batched = lattice.reduce(points)
+    alone = np.array([lattice.reduce(v) for v in points])
+    for got in (batched, alone):
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
+    # Both passes and the best-norm choice are exercised.
+    assert not np.array_equal(batched, points)
+    assert np.any(np.all(batched == points, axis=1))

@@ -1,4 +1,4 @@
-"""Tests for annulus bookkeeping, realification, and collapse planning."""
+"""Tests for annulus bookkeeping, avoidance, and collapse planning."""
 
 import math
 
@@ -15,17 +15,13 @@ from nilcert.spectral_planner import (
     PlanningError,
     annulus_avoidance,
     apply_plan,
-    check_realification_admissible,
-    find_realifying_angle,
     in_plane_eigen,
-    jordan_detuning,
     plan_center_collapse,
     solve_plane_rotation_angle,
 )
 from nilcert.deformation import RotationPlane
 
 angles = st.floats(min_value=0.0, max_value=math.pi, allow_nan=False)
-entries = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
 
 
 def test_annulus_validation_and_distance():
@@ -121,50 +117,6 @@ def test_solve_plane_rotation_angle_reaches_monotone_targets():
     assert (p + q) * math.cos(theta) == pytest.approx(30.0, abs=1e-7)
     with pytest.raises(PlanningError):
         solve_plane_rotation_angle(p, q, p + q + 1.0)
-
-
-def test_find_realifying_angle_conformal_case():
-    m = np.array([[0.3, -0.2], [0.2, 0.3]])
-    theta = find_realifying_angle(m)
-    assert theta == pytest.approx(math.pi / 2, abs=1e-12) or theta >= 0
-
-
-def test_find_realifying_angle_already_real():
-    m = np.array([[2.0, 0.3], [0.1, 0.5]])
-    assert find_realifying_angle(m) == 0.0
-
-
-@given(entries, entries, entries, entries)
-def test_find_realifying_angle_gives_nonnegative_discriminant(a, b, c, d):
-    m = np.array([[a, b], [c, d]])
-    det = a * d - b * c
-    if abs(det) < 1e-6:
-        return
-    theta = find_realifying_angle(m)
-    rot = np.array(
-        [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
-    )
-    rm = rot @ m
-    disc = (rm[0, 0] + rm[1, 1]) ** 2 - 4 * det
-    assert disc >= -1e-10
-
-
-def test_jordan_detuning_moves_discriminant_both_signs():
-    for lam in (0.7, -0.7):
-        theta = jordan_detuning(lam, 1.0)
-        assert theta != 0.0
-    with pytest.raises(PlanningError):
-        jordan_detuning(0.0, 1.0)
-    with pytest.raises(PlanningError):
-        jordan_detuning(0.5, 0.0)
-
-
-def test_realification_rejected_inside_annulus(annuli):
-    # A complex pair whose modulus lies inside the lower annulus.
-    r = (annuli[0].alpha_q + annuli[0].beta_q) / 2
-    m = np.array([[0.0, -r], [r, 0.0]])
-    with pytest.raises(PlanningError):
-        check_realification_admissible(m, annuli)
 
 
 def test_chain_branch_feasible_example():
