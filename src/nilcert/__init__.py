@@ -58,20 +58,15 @@ from .spectral_planner import (
 from .cone_certifier import (
     CertificationError,
     CocycleProduct,
-    DegenerateConeError,
     DominationWitness,
     LinearDynamics,
-    QuadraticCone,
     RateReport,
     RobustnessReport,
     SplittingEstimate,
     bunching_report,
     cocycle_product,
-    compactly_contained,
-    cone_from_map,
     extract_splitting,
     find_domination_exponent,
-    image_cone,
     principal_angle,
     robustness_radius,
     splitting_deviation_sweep,
@@ -124,20 +119,15 @@ __all__ = [
     # certifier
     "CertificationError",
     "CocycleProduct",
-    "DegenerateConeError",
     "DominationWitness",
     "LinearDynamics",
-    "QuadraticCone",
     "RateReport",
     "RobustnessReport",
     "SplittingEstimate",
     "bunching_report",
     "cocycle_product",
-    "compactly_contained",
-    "cone_from_map",
     "extract_splitting",
     "find_domination_exponent",
-    "image_cone",
     "principal_angle",
     "robustness_radius",
     "splitting_deviation_sweep",

@@ -12,8 +12,10 @@ as oracles in ``tests/test_kernels.py``), so reports do not move:
   transport kernels carry (N, d, k) frame stacks, one orbit per frame,
   and each frame matches its own transport bit for bit.
 * The rotation kernels take in-plane coordinates as ``e1 @ x``, which is
-  exact when ``e1`` and ``e2`` are coordinate vectors, the only planes
-  the pipeline rotates in.  On a general plane the last bit may differ.
+  exact when ``e1`` and ``e2`` are coordinate vectors.  Those are the
+  only planes the pipeline rotates in: its planner stage passes only
+  single-step plans, and every single-step plan turns a coordinate
+  plane.  On a general plane the last bit may differ.
 """
 
 from __future__ import annotations

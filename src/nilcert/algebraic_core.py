@@ -82,12 +82,6 @@ class Interval:
     def contains(self, x: Fraction | int) -> bool:
         return self.lo <= x <= self.hi
 
-    def strictly_positive(self) -> bool:
-        return self.lo > 0
-
-    def strictly_negative(self) -> bool:
-        return self.hi < 0
-
     def to_floats(self) -> tuple[float, float]:
         """Outward-rounded floating point endpoints.
 
@@ -186,9 +180,6 @@ class IntegerMatrixSpec:
     @property
     def trace(self) -> int:
         return self.entries[0][0] + self.entries[1][1] + self.entries[2][2]
-
-    def as_lists(self) -> list[list[int]]:
-        return [list(row) for row in self.entries]
 
 
 # ---------------------------------------------------------------------------

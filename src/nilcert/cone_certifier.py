@@ -39,13 +39,7 @@ from .nilmanifold import DIM, AutomorphismSpec, LatticeSpec
 from .spectral_planner import AnnulusSpec
 
 __all__ = [
-    "DegenerateConeError",
     "CertificationError",
-    "QuadraticCone",
-    "cone_from_map",
-    "image_cone",
-    "ContainmentCertificate",
-    "compactly_contained",
     "DominationWitness",
     "find_domination_exponent",
     "RobustnessReport",
@@ -58,8 +52,6 @@ __all__ = [
     "subspace_intersection",
     "SplittingEstimate",
     "extract_splitting",
-    "PartiallyHyperbolicFrames",
-    "extract_partially_hyperbolic_frames",
     "RateReport",
     "bunching_report",
     "SweepPoint",
@@ -79,10 +71,6 @@ CENTER_AXES = (3, 4)
 EXPANDING_AXES = (6, 7, 8)
 
 
-class DegenerateConeError(ValueError):
-    """Raised when a quadratic form does not define a genuine cone."""
-
-
 class CertificationError(RuntimeError):
     """Raised when a certification search exhausts its budget."""
 
@@ -92,128 +80,6 @@ def _axes_frame(axes: Sequence[int], dim: int = DIM) -> np.ndarray:
     for j, ax in enumerate(axes):
         q[ax, j] = 1.0
     return q
-
-
-# ---------------------------------------------------------------------------
-# Quadratic cones and the S-procedure
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class QuadraticCone:
-    """The set ``{v : v^T S v >= 0}`` for a symmetric mixed-signature S.
-
-    Mixed signature (at least one positive and one negative eigenvalue)
-    is what makes the set a genuine cone with nonempty interior and
-    complement; definite or semidefinite forms degenerate to everything
-    or almost nothing and are rejected.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DegenerateConeError("cone matrix must be square")
-        if not np.allclose(m, m.T, atol=1e-12):
-            raise DegenerateConeError("cone matrix must be symmetric")
-        object.__setattr__(self, "matrix", (m + m.T) / 2.0)
-        evals = np.linalg.eigvalsh(self.matrix)
-        if not (evals[0] < 0.0 < evals[-1]):
-            raise DegenerateConeError(
-                "quadratic form is not of mixed signature "
-                f"(eigenvalue range [{evals[0]:.3e}, {evals[-1]:.3e}])"
-            )
-
-    @property
-    def positive_index(self) -> int:
-        return int(np.sum(np.linalg.eigvalsh(self.matrix) > 0.0))
-
-    def contains(self, v: np.ndarray, strict: bool = False) -> bool:
-        q = float(v @ self.matrix @ v)
-        return q > 0.0 if strict else q >= 0.0
-
-
-def cone_from_map(m: np.ndarray, tau: float) -> QuadraticCone:
-    """The cone of vectors expanded by at least ``tau`` under ``m``.
-
-    ``S = (M/tau)^T (M/tau) - I`` has mixed signature exactly when
-    ``tau`` lies strictly between the smallest and largest singular
-    values of ``m``; outside that range the form degenerates and
-    :class:`DegenerateConeError` is raised with the admissible range.
-    """
-    m = np.asarray(m, dtype=float)
-    if tau <= 0:
-        raise DegenerateConeError("threshold must be positive")
-    scaled = m / tau
-    s = scaled.T @ scaled - np.eye(m.shape[0])
-    try:
-        return QuadraticCone(matrix=s)
-    except DegenerateConeError:
-        sv = np.linalg.svd(m, compute_uv=False)
-        raise DegenerateConeError(
-            f"threshold {tau:.6g} is outside the open singular value range "
-            f"({sv[-1]:.6g}, {sv[0]:.6g}) of the map"
-        ) from None
-
-
-def image_cone(cone: QuadraticCone, m: np.ndarray) -> QuadraticCone:
-    """The image ``{M v : v in cone}``, again a quadratic cone.
-
-    Membership of ``w = M v`` is the membership of ``v = M^-1 w``, so
-    the matrix transforms by ``M^-T S M^-1``.
-    """
-    minv = np.linalg.inv(np.asarray(m, dtype=float))
-    return QuadraticCone(matrix=minv.T @ cone.matrix @ minv)
-
-
-@dataclass(frozen=True, eq=False)
-class ContainmentCertificate:
-    """Outcome of a compact-containment check between two cones.
-
-    ``margin`` is the best S-procedure value: the maximum over
-    ``lam >= 0`` of the smallest eigenvalue of ``outer - lam * inner``.
-    Positive margin certifies that the inner cone minus the origin lies
-    in the open interior of the outer cone; otherwise ``witness`` holds
-    the direction realizing the violated eigenvalue.
-    """
-
-    margin: float
-    multiplier: float
-    witness: Optional[np.ndarray] = None
-
-    @property
-    def contained(self) -> bool:
-        return self.margin > 0.0
-
-
-def compactly_contained(
-    inner: QuadraticCone,
-    outer: QuadraticCone,
-    lam_hi: float = 8.0,
-    tol: float = 1e-12,
-) -> ContainmentCertificate:
-    """Certify that the inner cone is compactly contained in the outer one.
-
-    The multiplier search interval ``[0, lam_hi]`` is doubled while the
-    maximizer sits at its boundary, so an unfortunate initial bound
-    cannot produce a false negative.
-    """
-    s_in = inner.matrix
-    s_out = outer.matrix
-    hi = float(lam_hi)
-    for _ in range(24):
-        margin, lam = containment_margin(s_in, s_out, hi, tol)
-        if lam < 0.95 * hi:
-            break
-        hi *= 2.0
-    witness = None
-    if margin <= 0.0:
-        evals, vecs = np.linalg.eigh(s_out - lam * s_in)
-        witness = vecs[:, 0].copy()
-    return ContainmentCertificate(
-        margin=float(margin), multiplier=float(lam), witness=witness
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -697,57 +563,6 @@ def extract_splitting(
         steps_used=steps - k_step,
         gap=float(gap),
         converged=False,
-    )
-
-
-@dataclass(frozen=True, eq=False)
-class PartiallyHyperbolicFrames:
-    """Stable/center/unstable frames extracted at a point.
-
-    The center is the intersection of the fast bundle of the lower
-    splitting (center + unstable) with the slow bundle of the upper
-    splitting (stable + center).
-    """
-
-    point: np.ndarray
-    stable: np.ndarray
-    center: np.ndarray
-    unstable: np.ndarray
-    lower: SplittingEstimate
-    upper: SplittingEstimate
-
-    @property
-    def converged(self) -> bool:
-        return self.lower.converged and self.upper.converged
-
-
-def extract_partially_hyperbolic_frames(
-    dyn,
-    x: np.ndarray,
-    k_start: int = 40,
-    k_step: int = 20,
-    k_max: int = 200,
-    tol: float = 1e-10,
-) -> PartiallyHyperbolicFrames:
-    """Extract the three-bundle splitting via two dominated splittings."""
-    center_and_up = tuple(CENTER_AXES) + tuple(EXPANDING_AXES)
-    stable_and_center = tuple(STRONG_STABLE_AXES) + tuple(CENTER_AXES)
-    lower = extract_splitting(
-        dyn, x, STRONG_STABLE_AXES, center_and_up, k_start, k_step, k_max, tol
-    )
-    upper = extract_splitting(
-        dyn, x, stable_and_center, EXPANDING_AXES, k_start, k_step, k_max, tol
-    )
-    center = subspace_intersection(
-        lower.fast_frame, upper.slow_frame, len(CENTER_AXES)
-    )
-    return PartiallyHyperbolicFrames(
-        point=np.asarray(x, dtype=float),
-        stable=lower.slow_frame,
-        center=center,
-        unstable=upper.fast_frame,
-        lower=lower,
-        upper=upper,
     )
 
 

@@ -170,10 +170,6 @@ class AutomorphismSpec:
     def matrix(self) -> np.ndarray:
         return np.diag(self.diag)
 
-    @property
-    def inverse_diag(self) -> np.ndarray:
-        return 1.0 / self.diag
-
     def apply(self, x) -> np.ndarray:
         """Image of a vector, or of each row of an (N, 9) array."""
         return self.diag * _as_rows(x)

@@ -4,16 +4,19 @@ The pipeline chains the library stages — integer-matrix spectral
 certification, nilmanifold lattice construction, rotation planning,
 local deformation, cone-field domination, rate measurement, and the
 support-radius sweep — into a single reproducible run driven by a JSON
-config.  Results are written as a versioned, machine-readable JSON
+config.  The first three stages build the construction once
+(:func:`build_construction`); the later stages run only on a plan that
+passed.  Results are written as a versioned, machine-readable JSON
 report plus headered CSV curve files suitable for plotting; reports are
 deterministic for a fixed config and seed (byte-identical up to the
 timestamp field).
 
-Exit codes: 0 all checks pass, 2 invalid input (config or matrix),
-3 certification failure, 4 internal error, 141 standard output closed
-before the command finished writing (as in ``nilcert plan | head -1``;
-128 + SIGPIPE, the code a shell reports for a process that SIGPIPE
-ended).
+Exit codes: 0 all checks pass, 2 invalid input (config or matrix; among
+configs, annuli not on either side of one and a surplus with
+``1 + surplus == 1``), 3 certification failure, 4 internal error, 141
+standard output closed before the command finished writing (as in
+``nilcert plan | head -1``; 128 + SIGPIPE, the code a shell reports for
+a process that SIGPIPE ended).
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from .algebraic_core import (
 )
 from .cone_certifier import (
     CertificationError,
+    DominationWitness,
     EXPANDING_AXES,
     LinearDynamics,
     bunching_report,
@@ -159,6 +163,11 @@ class PipelineConfig:
             value = getattr(self, name)
             if not (_is_finite(value) and value > 0):
                 raise ConfigError(f"{name} must be finite and positive")
+        if 1.0 + self.surplus == 1.0:
+            raise ConfigError(
+                f"surplus {self.surplus!r} vanishes against one: the target "
+                "modulus 1 + surplus must exceed one in floating point"
+            )
         for name in ("theta_grid", "robustness_grid"):
             value = getattr(self, name)
             if not (_is_int(value) and value >= 100):
@@ -189,6 +198,13 @@ class PipelineConfig:
                     AnnulusSpec(*pair)  # validates 0 < alpha < beta
                 except ValueError as exc:
                     raise ConfigError(f"bad annulus {pair}: {exc}") from exc
+            # Stable moduli lie below the lower annulus and unstable ones
+            # above the upper, so the annuli must separate them at one.
+            if not self.annuli[0][1] < 1.0 < self.annuli[1][0]:
+                raise ConfigError(
+                    "annuli must lie on either side of one (lower beta < 1 < "
+                    f"upper alpha), got {[list(p) for p in self.annuli]}"
+                )
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
@@ -256,26 +272,28 @@ class PipelineConfig:
 # ---------------------------------------------------------------------------
 
 
-def _stage_matrix(config: PipelineConfig) -> tuple[dict, bool, Optional[EigenData]]:
-    """Certify the integer matrix: char poly, irreducibility, root chain."""
+def _stage_matrix(config: PipelineConfig) -> tuple[dict, Optional[EigenData]]:
+    """Certify the integer matrix: char poly, irreducibility, root chain.
+
+    Returns the eigendata only when the matrix passes."""
     frag: dict = {"status": "fail"}
     try:
         spec = IntegerMatrixSpec.from_rows([list(r) for r in config.matrix])
     except ValueError as exc:
         frag["error"] = f"matrix rejected: {exc}"
-        return frag, False, None
+        return frag, None
     poly = char_poly(spec)
     frag["char_poly_coeffs"] = list(poly)
     irreducible = check_irreducible(poly)
     frag["irreducible_over_rationals"] = irreducible
     if not irreducible:
         frag["error"] = "characteristic polynomial has a rational root"
-        return frag, False, None
+        return frag, None
     try:
         eig = EigenData.from_matrix(spec, tol=config.root_tol)
     except RootIsolationError as exc:
         frag["error"] = f"root isolation failed: {exc}"
-        return frag, False, None
+        return frag, None
     chain = verify_eigenvalue_condition(eig)
     frag["roots"] = list(eig.values)
     frag["root_interval_widths"] = [
@@ -293,14 +311,14 @@ def _stage_matrix(config: PipelineConfig) -> tuple[dict, bool, Optional[EigenDat
     }
     if not chain.ok:
         frag["error"] = "eigenvalue chain not certified: " + chain.describe()
-        return frag, False, eig
+        return frag, None
     frag["status"] = "pass"
-    return frag, True, eig
+    return frag, eig
 
 
 def _stage_nilmanifold(
     eig: EigenData,
-) -> tuple[dict, bool, AutomorphismSpec, LatticeSpec]:
+) -> tuple[dict, AutomorphismSpec, LatticeSpec]:
     """Build the lattice and automorphism; check exact structural residuals."""
     auto = AutomorphismSpec.from_eigendata(eig)
     lattice = LatticeSpec.from_eigendata(eig)
@@ -316,7 +334,7 @@ def _stage_nilmanifold(
     frag["status"] = "pass" if ok else "fail"
     if not ok:
         frag["error"] = "lattice residuals exceed 1e-9"
-    return frag, ok, auto, lattice
+    return frag, auto, lattice
 
 
 def _annuli(
@@ -375,8 +393,13 @@ def _stage_planner(
     eig: EigenData,
     auto: AutomorphismSpec,
     annuli: tuple[AnnulusSpec, AnnulusSpec],
-) -> tuple[dict, bool, Optional[object]]:
-    """Label the spectrum, plan the collapse, verify the planned spectrum."""
+) -> tuple[dict, Optional[PlanStep]]:
+    """Label the spectrum, plan the collapse, verify the planned spectrum.
+
+    Returns the plan's step only when the plan passes, and a plan passes
+    only with a single step.  Every single-step plan turns a coordinate
+    plane, the planes on which the rotation kernels are exact.
+    """
     l1, l2, l3 = eig.values
     frag: dict = {
         "annuli": [[a.alpha_q, a.beta_q] for a in annuli],
@@ -386,7 +409,7 @@ def _stage_planner(
     }
     if not (l2 * l3 * l3 > l3):
         frag["error"] = "in-plane product does not exceed the top modulus"
-        return frag, False, None
+        return frag, None
     try:
         labeled = LabeledSpectrum.from_diagonal(auto.diag, annuli[0], annuli[1])
         plan = plan_center_collapse(
@@ -397,7 +420,7 @@ def _stage_planner(
         )
     except PlanningError as exc:
         frag["error"] = f"planning failed: {exc}"
-        return frag, False, None
+        return frag, None
     frag["plan"] = plan.to_json_dict()
     final = apply_plan(np.diag(auto.diag), plan)
     dim_exp, angle = _expanding_eigenspace_angle(final)
@@ -409,7 +432,8 @@ def _stage_planner(
     frag["planned_moduli"] = sorted(float(m) for m in moduli)
     errors = []
     if not (
-        dim_exp == 4
+        len(plan.steps) == 1
+        and dim_exp == 4
         and angle < 1e-8
         and bool(np.all(np.abs(moduli - 1.0) > 1e-6))
     ):
@@ -424,39 +448,75 @@ def _stage_planner(
                 f"{ann.beta_q:.6g}] on step {k // 2 + 1} not certified: "
                 + res.describe()
             )
-    ok = not errors
     if errors:
         frag["error"] = "; ".join(errors)
-    frag["status"] = "pass" if ok else "fail"
-    return frag, ok, plan
+        return frag, None
+    frag["status"] = "pass"
+    (step,) = plan.steps
+    return frag, step
+
+
+@dataclass(frozen=True, eq=False)
+class Construction:
+    """The map that every stage after the planner certifies: the
+    certified eigendata, the automorphism and its lattice, the separating
+    annuli, and the one rotation step of a verified plan."""
+
+    eig: EigenData
+    auto: AutomorphismSpec
+    lattice: LatticeSpec
+    annuli: tuple[AnnulusSpec, AnnulusSpec]
+    step: PlanStep
+
+    def deformed_map(self, eps: float, chart_radius: float) -> DeformedMap:
+        """The automorphism deformed by the planned rotation, with a
+        profile of slope budget ``eps``."""
+        return DeformedMap(
+            auto=self.auto,
+            rotation=LocalRotationMap(
+                profile=make_profile(self.step.angle, eps), plane=self.step.plane
+            ),
+            lattice=self.lattice,
+            chart_radius=chart_radius,
+        )
+
+
+def build_construction(config: PipelineConfig) -> tuple[dict, Optional[Construction]]:
+    """Run the matrix, nilmanifold and planner stages.
+
+    Returns their report fragments in stage order, up to the first that
+    fails, and the construction only when all three pass.
+    """
+    stages: dict = {}
+    stages["matrix"], eig = _stage_matrix(config)
+    if eig is None:
+        return stages, None
+    stages["nilmanifold"], auto, lattice = _stage_nilmanifold(eig)
+    if stages["nilmanifold"]["status"] != "pass":
+        return stages, None
+    annuli = _annuli(config, eig)
+    stages["planner"], step = _stage_planner(config, eig, auto, annuli)
+    if step is None:
+        return stages, None
+    return stages, Construction(eig, auto, lattice, annuli, step)
 
 
 def _stage_deformation(
-    config: PipelineConfig,
-    auto: AutomorphismSpec,
-    lattice: LatticeSpec,
-    step: PlanStep,
-    rng: np.random.Generator,
-) -> tuple[dict, bool, Optional[DeformedMap]]:
+    config: PipelineConfig, con: Construction, rng: np.random.Generator
+) -> tuple[dict, Optional[DeformedMap]]:
     """Build the compactly supported rotation and sanity-check its derivative."""
     frag: dict = {"status": "fail"}
-    plane = step.plane
     try:
-        profile = make_profile(step.angle, config.support_eps)
+        dyn = con.deformed_map(config.support_eps, config.chart_radius)
     except ProfileError as exc:
         frag["error"] = f"profile construction failed: {exc}"
-        return frag, False, None
-    rotation = LocalRotationMap(profile=profile, plane=plane)
-    try:
-        dyn = DeformedMap(
-            auto=auto,
-            rotation=rotation,
-            lattice=lattice,
-            chart_radius=config.chart_radius,
-        )
+        return frag, None
     except DeformationError as exc:
         frag["error"] = f"deformation rejected: {exc}"
-        return frag, False, None
+        return frag, None
+    rotation = dyn.rotation
+    profile = rotation.profile
+    plane = con.step.plane
 
     frag["profile"] = {
         "plateau_angle": profile.a,
@@ -469,7 +529,7 @@ def _stage_deformation(
     }
     # Derivative at the fixed point must be exactly the planned rotation.
     d0 = dyn.jacobian_at(np.zeros(DIM))
-    planned = plane.rotation_matrix(step.angle) @ np.diag(auto.diag)
+    planned = plane.rotation_matrix(con.step.angle) @ np.diag(con.auto.diag)
     fixed_point_dev = float(np.max(np.abs(d0 - planned)))
     # Sampled rotation-distance and volume checks inside the support.
     sup_dev = 0.0
@@ -494,23 +554,20 @@ def _stage_deformation(
     frag["status"] = "pass" if ok else "fail"
     if not ok:
         frag["error"] = "derivative checks failed inside the support"
-    return frag, ok, dyn
+    return frag, dyn
 
 
 def _stage_certification(
-    config: PipelineConfig,
-    auto: AutomorphismSpec,
-    step: PlanStep,
-    annuli: tuple[AnnulusSpec, AnnulusSpec],
-) -> tuple[dict, bool, Optional[object]]:
+    config: PipelineConfig, con: Construction
+) -> tuple[dict, Optional[DominationWitness]]:
     """Uniform domination exponent plus robustness radius for the family."""
     frag: dict = {"status": "fail"}
     try:
         witness = find_domination_exponent(
-            auto.diag,
-            step.plane,
-            step.angle,
-            annuli,
+            con.auto.diag,
+            con.step.plane,
+            con.step.angle,
+            con.annuli,
             n_max=config.n_max,
             grid=config.theta_grid,
             margin_floor=config.margin_floor,
@@ -518,7 +575,7 @@ def _stage_certification(
     except CertificationError as exc:
         frag["error"] = str(exc)
         frag["margin_history"] = [list(r) for r in getattr(exc, "history", ())]
-        return frag, False, None
+        return frag, None
     frag["witness"] = {
         "exponent": witness.exponent,
         "thresholds": list(witness.thresholds),
@@ -530,10 +587,10 @@ def _stage_certification(
     }
     frag["margin_history"] = [list(r) for r in witness.history]
     rob = robustness_radius(
-        auto.diag,
-        step.plane,
-        step.angle,
-        annuli,
+        con.auto.diag,
+        con.step.plane,
+        con.step.angle,
+        con.annuli,
         n=witness.exponent,
         grid=config.robustness_grid,
         trials=config.mc_trials,
@@ -551,20 +608,14 @@ def _stage_certification(
     frag["status"] = "pass" if ok else "fail"
     if not ok:
         frag["error"] = "robustness validation failed"
-    return frag, ok, witness
+    return frag, witness
 
 
 def _stage_rates(
-    config: PipelineConfig,
-    eig: EigenData,
-    dyn: DeformedMap,
-    auto: AutomorphismSpec,
-    lattice: LatticeSpec,
-    exponent: int,
-    plane_axes: tuple[int, int],
-) -> tuple[dict, bool]:
+    config: PipelineConfig, con: Construction, dyn: DeformedMap, exponent: int
+) -> dict:
     """Four rate bullets, bunching margin, and the undeformed oracle check."""
-    l1, l2, l3 = eig.values
+    l1, l2, l3 = con.eig.values
     deformed = bunching_report(
         dyn,
         (l1, l2, l3),
@@ -572,18 +623,18 @@ def _stage_rates(
         eps_rate=config.rate_eps,
         sample_count=config.sample_count,
         inner_scale=config.inner_scale,
-        plane_axes=plane_axes,
+        plane_axes=con.step.axes,
         seed=config.seed,
         extraction_steps=config.extraction_steps,
     )
     undeformed = bunching_report(
-        LinearDynamics(auto, lattice),
+        LinearDynamics(con.auto, con.lattice),
         (l1, l2, l3),
         n=exponent,
         eps_rate=config.rate_eps,
         sample_count=config.sample_count,
         inner_scale=config.inner_scale,
-        plane_axes=plane_axes,
+        plane_axes=con.step.axes,
         seed=config.seed,
         extraction_steps=config.extraction_steps,
     )
@@ -632,34 +683,25 @@ def _stage_rates(
     frag["status"] = "pass" if ok else "fail"
     if not ok:
         frag["error"] = "rate bullets, bunching, or oracle reproduction failed"
-    return frag, ok
+    return frag
 
 
-def _stage_sweep(
-    config: PipelineConfig,
-    auto: AutomorphismSpec,
-    lattice: LatticeSpec,
-    step: PlanStep,
-) -> tuple[dict, bool]:
+def _stage_sweep(config: PipelineConfig, con: Construction) -> dict:
     """Splitting deviation ladder over support scales, plus zero control."""
     warnings: list[str] = []
 
     def dynamics_for(scale: float):
         if scale == 0.0:
-            return LinearDynamics(auto, lattice)
-        profile = make_profile(step.angle, scale)
-        if profile.support_radius >= config.probe_radius:
+            return LinearDynamics(con.auto, con.lattice)
+        dyn = con.deformed_map(scale, config.chart_radius)
+        radius = dyn.rotation.profile.support_radius
+        if radius >= config.probe_radius:
             warnings.append(
                 f"probe set at radius {config.probe_radius} intersects the "
-                f"support ball (radius {profile.support_radius:.4g}) for "
+                f"support ball (radius {radius:.4g}) for "
                 f"support scale {scale:.4g}"
             )
-        return DeformedMap(
-            auto=auto,
-            rotation=LocalRotationMap(profile=profile, plane=step.plane),
-            lattice=lattice,
-            chart_radius=config.chart_radius,
-        )
+        return dyn
 
     scales = list(config.sweep_supports) + [0.0]
     points = splitting_deviation_sweep(
@@ -694,7 +736,7 @@ def _stage_sweep(
     frag["status"] = "pass" if ok else "fail"
     if not ok:
         frag["error"] = "sweep not decreasing to tolerance with exact control"
-    return frag, ok
+    return frag
 
 
 # ---------------------------------------------------------------------------
@@ -777,10 +819,12 @@ def _emit_curves(out_dir: Path, report: dict, config: PipelineConfig) -> None:
 
 
 def run_pipeline(config: PipelineConfig) -> dict:
-    """Run every stage and assemble the report dict (no files written)."""
-    rng = np.random.default_rng(config.seed)
-    stages: dict = {}
-    failures: list[str] = []
+    """Run every stage and assemble the report dict (no files written).
+
+    The stages after the planner run only on a construction whose plan
+    passed; a failed matrix, nilmanifold or planner stage ends the report.
+    """
+    stages, con = build_construction(config)
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "tool": {"name": "nilcert", "version": __version__},
@@ -790,59 +834,16 @@ def run_pipeline(config: PipelineConfig) -> dict:
         "erratum_notes": _ERRATUM_NOTES,
         "notes": _METHOD_NOTES,
     }
-
-    frag, ok, eig = _stage_matrix(config)
-    stages["matrix"] = frag
-    if not ok:
-        failures.append("matrix")
-        report["verdict"] = "FAIL"
-        report["failures"] = failures
+    if stages["matrix"]["status"] != "pass":
         report["input_invalid"] = True
-        return report
-
-    frag, ok, auto, lattice = _stage_nilmanifold(eig)
-    stages["nilmanifold"] = frag
-    if not ok:
-        failures.append("nilmanifold")
-
-    annuli = _annuli(config, eig)
-    plan = None
-    if ok:
-        frag, ok_p, plan = _stage_planner(config, eig, auto, annuli)
-        stages["planner"] = frag
-        if not ok_p:
-            failures.append("planner")
-
-    dyn = None
-    step = None  # the plan's last rotation, which the deformation turns
-    if plan is not None:
-        step = plan.steps[-1]
-        frag, ok_d, dyn = _stage_deformation(config, auto, lattice, step, rng)
-        stages["deformation"] = frag
-        if not ok_d:
-            failures.append("deformation")
-
-    witness = None
-    if step is not None:
-        frag, ok_c, witness = _stage_certification(config, auto, step, annuli)
-        stages["certification"] = frag
-        if not ok_c:
-            failures.append("certification")
-
-    if dyn is not None and witness is not None:
-        frag, ok_r = _stage_rates(
-            config, eig, dyn, auto, lattice, witness.exponent, step.axes
-        )
-        stages["rates"] = frag
-        if not ok_r:
-            failures.append("rates")
-
-    if step is not None:
-        frag, ok_s = _stage_sweep(config, auto, lattice, step)
-        stages["sweep"] = frag
-        if not ok_s:
-            failures.append("sweep")
-
+    if con is not None:
+        rng = np.random.default_rng(config.seed)
+        stages["deformation"], dyn = _stage_deformation(config, con, rng)
+        stages["certification"], witness = _stage_certification(config, con)
+        if dyn is not None and witness is not None:
+            stages["rates"] = _stage_rates(config, con, dyn, witness.exponent)
+        stages["sweep"] = _stage_sweep(config, con)
+    failures = [name for name, frag in stages.items() if frag["status"] != "pass"]
     report["verdict"] = "PASS" if not failures else "FAIL"
     report["failures"] = failures
     return report
@@ -855,9 +856,9 @@ def run_pipeline(config: PipelineConfig) -> dict:
 
 def cmd_verify_matrix(config: PipelineConfig) -> int:
     """Certify the configured matrix and print the report fragment."""
-    frag, ok, _ = _stage_matrix(config)
+    frag, eig = _stage_matrix(config)
     print(json.dumps(frag, indent=2, sort_keys=True))
-    return EXIT_PASS if ok else EXIT_INVALID_INPUT
+    return EXIT_PASS if eig is not None else EXIT_INVALID_INPUT
 
 
 def cmd_certify(config: PipelineConfig) -> int:
@@ -880,36 +881,25 @@ def cmd_certify(config: PipelineConfig) -> int:
     return EXIT_CERTIFICATION_FAILURE
 
 
-def _planned(config: PipelineConfig):
-    """The matrix, nilmanifold and planner stages that ``sweep-support``
-    and ``plan`` run first.
-
-    Returns ``(exit_code, None)`` after printing why, when the matrix or
-    the lattice fails, else ``(None, (auto, lattice, planner_frag, ok,
-    plan))``.
-    """
-    frag, ok, eig = _stage_matrix(config)
-    if not ok:
-        print(json.dumps(frag, indent=2, sort_keys=True))
-        return EXIT_INVALID_INPUT, None
-    _, ok, auto, lattice = _stage_nilmanifold(eig)
-    if not ok:
-        print("lattice construction failed")
-        return EXIT_CERTIFICATION_FAILURE, None
-    frag, ok, plan = _stage_planner(config, eig, auto, _annuli(config, eig))
-    return None, (auto, lattice, frag, ok, plan)
+def _prefix_failure(stages: dict) -> int:
+    """Print why the matrix or the nilmanifold stage failed, and return
+    the exit code of that failure."""
+    if stages["matrix"]["status"] != "pass":
+        print(json.dumps(stages["matrix"], indent=2, sort_keys=True))
+        return EXIT_INVALID_INPUT
+    print("lattice construction failed")
+    return EXIT_CERTIFICATION_FAILURE
 
 
 def cmd_sweep_support(config: PipelineConfig) -> int:
     """Run matrix/planning prerequisites, then the sweep; write its CSV."""
-    code, planned = _planned(config)
-    if planned is None:
-        return code
-    auto, lattice, pfrag, ok, plan = planned
-    if not ok:
-        print(f"planning failed: {pfrag.get('error')}")
+    stages, con = build_construction(config)
+    if "planner" not in stages:
+        return _prefix_failure(stages)
+    if con is None:
+        print(f"planning failed: {stages['planner'].get('error')}")
         return EXIT_CERTIFICATION_FAILURE
-    frag, ok = _stage_sweep(config, auto, lattice, plan.steps[-1])
+    frag = _stage_sweep(config, con)
     out_dir = Path(config.out_dir)
     _write_csv(
         out_dir / "curves" / "support_sweep.csv",
@@ -924,17 +914,16 @@ def cmd_sweep_support(config: PipelineConfig) -> int:
         "strictly decreasing: "
         f"{frag['strictly_decreasing']}; control {frag['control_deviation']}"
     )
-    return EXIT_PASS if ok else EXIT_CERTIFICATION_FAILURE
+    return EXIT_PASS if frag["status"] == "pass" else EXIT_CERTIFICATION_FAILURE
 
 
 def cmd_plan(config: PipelineConfig) -> int:
     """Run the planner alone and print the plan as JSON."""
-    code, planned = _planned(config)
-    if planned is None:
-        return code
-    _, _, frag, ok, _ = planned
-    print(json.dumps(frag, indent=2, sort_keys=True))
-    return EXIT_PASS if ok else EXIT_CERTIFICATION_FAILURE
+    stages, con = build_construction(config)
+    if "planner" not in stages:
+        return _prefix_failure(stages)
+    print(json.dumps(stages["planner"], indent=2, sort_keys=True))
+    return EXIT_PASS if con is not None else EXIT_CERTIFICATION_FAILURE
 
 
 def cmd_report(config: PipelineConfig) -> int:

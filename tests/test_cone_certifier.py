@@ -11,19 +11,13 @@ from nilcert.cone_certifier import (
     CENTER_AXES,
     CertificationError,
     CocycleProduct,
-    DegenerateConeError,
     EXPANDING_AXES,
     LinearDynamics,
-    QuadraticCone,
     STRONG_STABLE_AXES,
     bunching_report,
     cocycle_product,
-    compactly_contained,
-    cone_from_map,
-    extract_partially_hyperbolic_frames,
     extract_splitting,
     find_domination_exponent,
-    image_cone,
     principal_angle,
     robustness_radius,
     splitting_deviation_sweep,
@@ -32,57 +26,6 @@ from nilcert.cone_certifier import (
 )
 from nilcert.deformation import DeformedMap, LocalRotationMap, RotationPlane, make_profile
 from nilcert.nilmanifold import DIM
-
-
-def test_quadratic_cone_requires_mixed_signature():
-    good = QuadraticCone(np.diag([1.0, 1.0, -1.0]))
-    assert good.positive_index == 2
-    assert good.contains(np.array([1.0, 0.0, 0.1]))
-    assert not good.contains(np.array([0.0, 0.0, 1.0]))
-    with pytest.raises(DegenerateConeError):
-        QuadraticCone(np.eye(3))
-    with pytest.raises(DegenerateConeError):
-        QuadraticCone(-np.eye(2))
-
-
-def test_cone_from_map_threshold_semantics():
-    m = np.diag([0.5, 3.0])
-    cone = cone_from_map(m, tau=1.0)
-    # v is in the cone iff |M v| >= |v|.
-    assert cone.contains(np.array([0.0, 1.0]))
-    assert not cone.contains(np.array([1.0, 0.0]))
-    with pytest.raises(DegenerateConeError):
-        cone_from_map(np.diag([2.0, 3.0]), tau=1.0)  # everything expands
-
-
-def test_image_cone_containment_soundness():
-    # For the diagonal map the expansion cone must map strictly inside
-    # itself; the S-procedure margin certifies the pointwise implication.
-    m = np.diag([0.5, 3.0])
-    cone = cone_from_map(m, tau=1.0)
-    img = image_cone(cone, m)
-    cert = compactly_contained(img, cone)
-    assert cert.contained and cert.margin > 0
-    rng = np.random.default_rng(0)
-    for _ in range(500):
-        v = rng.normal(size=2)
-        v /= np.linalg.norm(v)
-        if img.contains(v):
-            assert v @ cone.matrix @ v >= cert.margin - 1e-12
-
-
-def test_compact_containment_failure_produces_witness():
-    wide = QuadraticCone(np.diag([1.0, -0.1]))
-    narrow = QuadraticCone(np.diag([0.1, -1.0]))
-    cert = compactly_contained(wide, narrow)
-    assert not cert.contained
-    assert cert.witness is not None
-    v = cert.witness
-    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-9)
-    # The witness direction realizes the negative relaxed margin.
-    relaxed = narrow.matrix - cert.multiplier * wide.matrix
-    assert v @ relaxed @ v == pytest.approx(cert.margin, abs=1e-9)
-    assert cert.margin < 0
 
 
 def test_domination_exponent_for_default_construction(
@@ -226,42 +169,6 @@ def test_extracted_splitting_converges_and_is_invariant(deformed):
     )
     pushed, _ = np.linalg.qr(jac @ est.fast_frame)
     assert principal_angle(pushed, est_next.fast_frame) < 1e-8
-
-
-def test_three_bundle_frames_have_expected_dimensions(deformed):
-    x = np.full(DIM, 0.006)
-    frames = extract_partially_hyperbolic_frames(deformed, x)
-    assert frames.converged
-    assert frames.stable.shape == (DIM, 4)
-    assert frames.center.shape == (DIM, 2)
-    assert frames.unstable.shape == (DIM, 3)
-
-
-def test_frames_near_coordinate_bundles_away_from_support(deformed):
-    # Away from the rotation support the bundles stay close to the
-    # coordinate ones, but orbits through the support still tilt them;
-    # the deviation is bounded by the profile's slope budget.
-    x = np.zeros(DIM)
-    x[0] = 0.2
-    frames = extract_partially_hyperbolic_frames(deformed, x)
-    e = np.eye(DIM)
-    budget = deformed.rotation.profile.eps
-    assert principal_angle(frames.center, e[:, list(CENTER_AXES)]) < budget
-    assert principal_angle(frames.unstable, e[:, list(EXPANDING_AXES)]) < budget
-    assert principal_angle(frames.stable, e[:, list(STRONG_STABLE_AXES)]) < budget
-
-
-def test_linear_frames_match_coordinate_bundles_exactly(auto, lattice):
-    # Without the deformation the coordinate bundles are invariant, so
-    # extraction must return them to full precision.
-    lin = LinearDynamics(auto, lattice)
-    x = np.zeros(DIM)
-    x[0] = 0.2
-    frames = extract_partially_hyperbolic_frames(lin, x)
-    e = np.eye(DIM)
-    assert principal_angle(frames.center, e[:, list(CENTER_AXES)]) < 1e-12
-    assert principal_angle(frames.unstable, e[:, list(EXPANDING_AXES)]) < 1e-12
-    assert principal_angle(frames.stable, e[:, list(STRONG_STABLE_AXES)]) < 1e-12
 
 
 def test_linear_dynamics_matches_automorphism(auto, lattice):

@@ -10,7 +10,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nilcert
@@ -246,14 +246,18 @@ def test_invalid_config_exits_two(tmp_path, capsys):
         {"seed": 1.5},
         {"surplus": 1e308},
         {"surplus": float("inf")},
+        {"surplus": 1e-300},
+        {"annuli": [[0.3, 0.35], [0.36, 0.4]]},
         {"matrix": [[2.5, -3, 1], [-3, 6, -2], [1, -2, 1]]},
     ],
     ids=["one-annulus", "negative-seed", "float-seed", "huge-surplus",
-         "infinite-surplus", "float-matrix-entry"],
+         "infinite-surplus", "surplus-below-rounding", "annuli-below-one",
+         "float-matrix-entry"],
 )
 def test_invalid_config_values_exit_two(tmp_path, capsys, extra):
-    # A surplus is checked against the certified top eigenvalue, so it is
-    # rejected after the matrix stage ("invalid input"), not on loading.
+    # A huge surplus is checked against the certified top eigenvalue, so
+    # it is rejected after the matrix stage ("invalid input"), not on
+    # loading.
     cfg = _write_config(tmp_path, extra)
     code = main(["certify", "--config", cfg, "--out", str(tmp_path / "out")])
     assert code == EXIT_INVALID_INPUT
@@ -287,6 +291,24 @@ def test_sweep_support_warns_when_probes_touch_support(tmp_path, capsys):
     assert "warning:" in stdout
     assert "intersects the support ball" in stdout
     assert code in (EXIT_PASS, EXIT_CERTIFICATION_FAILURE)
+
+
+def test_rejected_plan_ends_the_report(tmp_path, capsys):
+    # The modulus-one branch plans a modulus of exactly one, which the
+    # planner stage rejects; no later stage runs on the rejected map.
+    cfg = _write_config(
+        tmp_path,
+        {"surplus": 0.29, "annuli": [[0.087, 0.179], [40.8, 41.7]]},
+    )
+    out_dir = tmp_path / "out"
+    code = main(["certify", "--config", cfg, "--out", str(out_dir)])
+    capsys.readouterr()
+    assert code == EXIT_CERTIFICATION_FAILURE
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report["verdict"] == "FAIL"
+    assert report["failures"] == ["planner"]
+    assert list(report["stages"]) == ["matrix", "nilmanifold", "planner"]
+    assert report["stages"]["planner"]["plan"]["branch"] == "modulus_one"
 
 
 def test_plan_command_prints_plan(capsys):
@@ -409,4 +431,39 @@ def test_verify_matrix_fuzzed_configs_never_exit_internal_error(data):
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(data))
         code = main(["verify-matrix", "--config", str(path)])
+    assert code in (EXIT_PASS, EXIT_INVALID_INPUT, EXIT_CERTIFICATION_FAILURE)
+
+
+def _companion(t: int, s: int) -> list[list[int]]:
+    """Companion matrix of x^3 - t x^2 + s x - 1."""
+    return [[0, 0, 1], [1, 0, -s], [0, 1, t]]
+
+
+def _pair(lo: float, hi: float):
+    return st.lists(st.floats(lo, hi), min_size=2, max_size=2).map(sorted)
+
+
+_PLAN_CONFIGS = st.fixed_dictionaries(
+    {},
+    optional={
+        # Every companion with t, s in [-25, 25] that passes the matrix
+        # stage has t in [9, 25] and s in [6, 11].
+        "matrix": st.builds(_companion, st.integers(9, 25), st.integers(6, 11)),
+        "surplus": st.one_of(st.floats(0.0, 10.0), st.floats()),
+        "annuli": st.one_of(
+            st.none(), st.tuples(_pair(0.01, 1.5), _pair(0.5, 60.0))
+        ),
+    },
+)
+
+
+@example(data={"annuli": [[0.3, 0.35], [0.36, 0.4]]})
+@example(data={"surplus": 1e-300})
+@settings(max_examples=100, deadline=None)
+@given(data=_PLAN_CONFIGS)
+def test_plan_fuzzed_configs_never_exit_internal_error(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(data))
+        code = main(["plan", "--config", str(path)])
     assert code in (EXIT_PASS, EXIT_INVALID_INPUT, EXIT_CERTIFICATION_FAILURE)
