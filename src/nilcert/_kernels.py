@@ -1,21 +1,21 @@
-"""Numerical kernels, in plain numpy on ``float64`` arrays: small dense
-products, the Lie bracket, the bump profile, the local rotation and its
-Jacobian, S-procedure cone margins and QR frame transport.  Structured
-inputs (profiles, planes) arrive flattened by their owning modules.
+"""Numerical kernels, in plain numpy on ``float64`` arrays: the Lie
+bracket, the bump profile, the local rotation and its Jacobian,
+S-procedure cone margins in block form, a rigorous positive-definiteness
+test and QR frame transport.  Structured inputs (profiles, planes) arrive
+flattened by their owning modules.
 
-The kernels reproduce bit for bit the element loops they replaced (kept
-as oracles in ``tests/test_kernels.py``), so reports do not move:
+The rotation kernels reproduce bit for bit the element loops they
+replaced (kept as oracles in ``tests/test_kernels.py``).  They take
+in-plane coordinates as ``e1 @ x``, which is exact when ``e1`` and ``e2``
+are coordinate vectors.  Those are the only planes the pipeline rotates
+in: its planner stage passes only single-step plans, and every
+single-step plan turns a coordinate plane.  The domination kernels
+require one (:func:`plane_axes`).
 
-* :func:`mat_mul` adds the rank-one terms ``a[:, k] b[k]`` in ``k``
-  order, the loops' order of additions; ``a @ b`` and ``einsum`` do not.
-  It broadcasts over stacks of matrices in the same order, so the QR
-  transport kernels carry (N, d, k) frame stacks, one orbit per frame,
-  and each frame matches its own transport bit for bit.
-* The rotation kernels take in-plane coordinates as ``e1 @ x``, which is
-  exact when ``e1`` and ``e2`` are coordinate vectors.  Those are the
-  only planes the pipeline rotates in: its planner stage passes only
-  single-step plans, and every single-step plan turns a coordinate
-  plane.  On a general plane the last bit may differ.
+Products are plain ``@``.  On stacks, ``(N, d, d) @ (N, d, k)`` runs the
+same routine per matrix as a single ``@``, so the QR transport kernels
+carry (N, d, k) frame stacks, one orbit per frame, and each frame matches
+its own transport bit for bit.
 """
 
 from __future__ import annotations
@@ -25,24 +25,6 @@ import math
 import numpy as np
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def mat_mul(a, b):
-    # Rank-one terms in k order: bit-identical to the sequential dot loop.
-    # Leading axes broadcast, so stacks multiply matrix by matrix.
-    out = np.zeros(
-        np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
-    )
-    for k in range(a.shape[-1]):
-        out += a[..., :, k, None] * b[..., None, k, :]
-    return out
-
-
-def mat_pow_int(a, n):
-    out = np.eye(a.shape[0])
-    for _ in range(n):
-        out = mat_mul(out, a)
-    return out
 
 
 def bracket9(u, v):
@@ -264,35 +246,183 @@ def containment_margin(s_img, s_tgt, lam_hi, tol):
     return max((f1, x1), (f2, x2), (fa, 0.0), (fb, lam_hi), key=lambda c: c[0])
 
 
+def plane_axes(e1, e2):
+    """The axes (i, j) of a coordinate plane, whose basis e1, e2 are the
+    standard basis vectors of axes i and j.  Raises ValueError for any
+    other plane."""
+    i, j = int(np.argmax(e1)), int(np.argmax(e2))
+    eye = np.eye(e1.shape[0])
+    if not (np.array_equal(e1, eye[i]) and np.array_equal(e2, eye[j])):
+        raise ValueError(
+            "block-form domination needs a coordinate plane: e1 and e2 "
+            "must be standard basis vectors"
+        )
+    return i, j
+
+
+def rotated_blocks(diag, thetas, n, tau, e1, e2):
+    """The threshold-normalized n-step maps M = (R_theta D)^n / tau^n in
+    block form, for D = diag(diag) and R_theta turning the coordinate
+    plane (e1, e2) of axes (i, j).
+
+    M fixes every other axis, so it is a scalar ``(d_k / tau)^n`` on each
+    of them and one 2x2 block on (i, j).  Returns ``(scalars, blocks)``:
+    scalars (2, dim - 2) holds the diagonal of M, then of M^-1, off the
+    plane; blocks (4, len(thetas), 2, 2) holds the in-plane block of M,
+    of M^-1 = (D^-1 R_-theta)^n tau^n, and then the entrywise magnitudes
+    |R_theta D|^n / tau^n and |D^-1 R_-theta|^n tau^n that bound their
+    rounding.
+    """
+    i, j = plane_axes(e1, e2)
+    inv_tau_n = tau ** (-float(n))
+    tau_n = tau ** float(n)
+    off = np.delete(diag, [i, j])
+    scalars = np.stack([off**n * inv_tau_n, (1.0 / off) ** n * tau_n])
+    c, s = np.cos(thetas), np.sin(thetas)
+    di, dj = diag[i], diag[j]
+    steps = np.empty((4, thetas.shape[0], 2, 2))
+    steps[0] = np.stack([c * di, -s * dj, s * di, c * dj], -1).reshape(-1, 2, 2)
+    steps[1] = np.stack([c / di, s / di, -s / dj, c / dj], -1).reshape(-1, 2, 2)
+    steps[2:] = np.abs(steps[:2])
+    scale = np.array([inv_tau_n, tau_n, inv_tau_n, tau_n])[:, None, None, None]
+    return scalars, np.linalg.matrix_power(steps, n) * scale
+
+
+def block_margins(scalars, blocks, n, lam_hi, tol):
+    """S-procedure margins of the block-form maps of :func:`rotated_blocks`.
+
+    With S_tgt = M^T M - I and S_img = I - M^-T M^-1, the margin is the
+    maximum over lam in [0, lam_hi] of min-eig(S_tgt - lam S_img).  In
+    block form that is the minimum of concave functions of lam: the affine
+    ``(m^2 - 1) - lam (1 - m^-2)`` per scalar m, and the smaller eigenvalue
+    of the 2x2 block [[p, q], [q, r]], taken as
+    ``min(p, r) - q^2 / (h + hypot(h, q))`` with ``h = |p - r| / 2``,
+    which is ``(p + r)/2 - hypot(h, q)`` without its cancellation (and
+    exactly the smaller diagonal entry when q = 0).  One golden-section
+    search runs on all blocks at once, for the fixed number of steps that
+    brackets each maximizer to within ``tol``; ties go to the earlier
+    candidate.
+
+    Returns (margin, lam_star, bound) per block, shape (len(thetas), 3).
+    ``bound`` is the margin's rounding bound, ``(5 n + 8) eps`` times the
+    largest magnitude that enters a piece at lam_star (the entries of the
+    magnitude blocks' Gram matrices, the scalars' squares, one), rounded
+    up with ``nextafter``: n matrix products and a few more operations,
+    each within ``eps`` of the magnitudes it combines.
+    """
+    m, minv = scalars
+    st, si = m * m - 1.0, 1.0 - minv * minv
+    gram = np.swapaxes(blocks, -1, -2) @ blocks
+    g, h = gram[0], gram[1]
+    pt, qt, rt = g[:, 0, 0] - 1.0, g[:, 0, 1], g[:, 1, 1] - 1.0
+    pi, qi, ri = 1.0 - h[:, 0, 0], -h[:, 0, 1], 1.0 - h[:, 1, 1]
+
+    def f(lam):
+        p, q, r = pt - lam * pi, qt - lam * qi, rt - lam * ri
+        half = 0.5 * np.abs(p - r)
+        rad = half + np.hypot(half, q)
+        lo = np.minimum(p, r) - np.divide(q * q, rad, out=np.zeros_like(q), where=rad > 0.0)
+        return np.minimum(lo, (st - lam[:, None] * si).min(axis=1))
+
+    size = blocks.shape[1]
+    a, b = np.zeros(size), np.full(size, float(lam_hi))
+    fa, fb = f(a), f(b)
+    x1, x2 = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(max(0, math.ceil(math.log(tol / lam_hi) / math.log(_INVPHI)))):
+        up = f1 < f2
+        a, b = np.where(up, x1, a), np.where(up, b, x2)
+        x = np.where(up, a + _INVPHI * (b - a), b - _INVPHI * (b - a))
+        fx = f(x)
+        x1, f1, x2, f2 = (
+            np.where(up, x2, x), np.where(up, f2, fx), np.where(up, x, x1), np.where(up, fx, f1)
+        )
+    cand = np.stack([f1, f2, fa, fb])
+    pick = np.argmax(cand, axis=0)[None]
+    margin = np.take_along_axis(cand, pick, 0)[0]
+    ends = np.broadcast_to([[0.0], [float(lam_hi)]], (2, size))
+    lam = np.take_along_axis(np.concatenate([[x1, x2], ends]), pick, 0)[0]
+
+    mag = gram[2:].max(axis=(-2, -1)) + 1.0
+    scale = np.maximum(
+        mag[0] + lam * mag[1], (m * m + 1.0 + lam[:, None] * (1.0 + minv * minv)).max(axis=1)
+    )
+    bound = np.nextafter((5 * n + 8) * np.finfo(float).eps * scale, np.inf)
+    return np.stack([margin, lam, bound], 1)
+
+
+def block_norms(scalars, blocks):
+    """Spectral norms of M and M^-1 for the block-form maps of
+    :func:`rotated_blocks`, shape (len(thetas), 2): the larger of the
+    largest scalar and the 2x2 block's largest singular value,
+    ``(hypot(a + d, c - b) + hypot(a - d, b + c)) / 2`` for [[a, b], [c, d]]."""
+    a, b = blocks[:2, :, 0, 0], blocks[:2, :, 0, 1]
+    c, d = blocks[:2, :, 1, 0], blocks[:2, :, 1, 1]
+    sigma = 0.5 * (np.hypot(a + d, c - b) + np.hypot(a - d, b + c))
+    return np.maximum(sigma, np.abs(scalars).max(axis=1)[:, None]).T
+
+
 def grid_domination_margins(diag, thetas, n, tau, e1, e2, lam_hi, tol):
     """Containment margins of the n-step rotated maps over a theta grid.
 
-    For each theta, builds the threshold-normalized n-step map
-    M = (R_theta D)^n / tau^n with D = diag(diag), forms the expansion
-    cone S = M^T M - I and its image cone S' = I - M^-T M^-1, and
-    records the S-procedure margin certifying that the map sends the
-    cone strictly inside itself.  Normalizing by the threshold keeps the
-    margins and the maximizing multipliers on a common scale across
-    exponents and thresholds.  Returns (margin, multiplier) per theta,
-    as an array of shape (len(thetas), 2).
+    For each theta, the threshold-normalized n-step map
+    M = (R_theta D)^n / tau^n with D = diag(diag) has the expansion cone
+    S = M^T M - I and its image cone S' = I - M^-T M^-1; the S-procedure
+    margin certifies that the map sends the cone strictly inside itself.
+    Normalizing by the threshold keeps the margins and the maximizing
+    multipliers on a common scale across exponents and thresholds.  The
+    plane (e1, e2) must be a coordinate plane; the margins are taken in
+    block form (:func:`rotated_blocks`, :func:`block_margins`).  Returns
+    (margin, multiplier, rounding bound) per theta, as an array of shape
+    (len(thetas), 3).
     """
-    dim = diag.shape[0]
-    on_diag = np.diag_indices(dim)
-    plane = np.outer(e1, e1) + np.outer(e2, e2)
-    gen = np.outer(e2, e1) - np.outer(e1, e2)
-    out = np.zeros((thetas.shape[0], 2))
-    inv_tau_n = tau ** (-float(n))
-    for k in range(thetas.shape[0]):
-        r = np.eye(dim) + (math.cos(thetas[k]) - 1.0) * plane
-        r += math.sin(thetas[k]) * gen
-        m = mat_pow_int(r * diag, n) * inv_tau_n
-        minv = np.linalg.inv(m)
-        s_tgt = mat_mul(m.T, m)
-        s_tgt[on_diag] -= 1.0
-        s_img = -mat_mul(minv.T, minv)
-        s_img[on_diag] += 1.0
-        out[k] = containment_margin(s_img, s_tgt, lam_hi, tol)
-    return out
+    return block_margins(*rotated_blocks(diag, thetas, n, tau, e1, e2), n, lam_hi, tol)
+
+
+def rump_positive_definite(a):
+    """Prove, in floating point, which symmetric matrices of the stack a
+    (N, d, d) are positive definite.
+
+    Rump's criterion (S. M. Rump, "Verification of positive
+    definiteness", BIT Numerical Mathematics 46 (2006), 433-452): a
+    symmetric floating-point matrix A with nonnegative diagonal is
+    positive definite if the floating-point Cholesky factorization of
+    A - c I runs to completion for
+
+        c = gamma_{d+1} / (1 - gamma_{d+1}) trace(A),
+        gamma_k = k u / (1 - k u),
+
+    with u the unit roundoff, barring underflow.  Here u is taken as
+    ``eps = 2^-52``, twice the unit roundoff, which covers the rounding
+    of the trace and of forming A - c I; underflow is allowed for by
+    adding ``4 (d + 1) (2 (d + 2) + max_i a_ii) eta``, eta the smallest
+    positive subnormal, and c is rounded up.  Both factorization and
+    criterion read the lower triangle.
+    Returns a bool per matrix; False means not proven (the factorization
+    failed, or a diagonal entry is not positive).
+    """
+    d = a.shape[-1]
+    diag = np.diagonal(a, axis1=-2, axis2=-1)
+    gamma = (d + 1) * np.finfo(float).eps
+    gamma /= 1.0 - gamma
+    eta = np.finfo(float).smallest_subnormal
+    shift = gamma / (1.0 - gamma) * diag.sum(axis=-1)
+    shift += 4 * (d + 1) * (2 * (d + 2) + diag.max(axis=-1)) * eta
+    shifted = a - np.nextafter(shift, np.inf)[:, None, None] * np.eye(d)
+    try:
+        np.linalg.cholesky(shifted)
+        runs = np.ones(a.shape[0], dtype=bool)
+    except np.linalg.LinAlgError:  # some matrix failed: find which
+        runs = np.array([_cholesky_runs(m) for m in shifted], dtype=bool)
+    return runs & (diag > 0.0).all(axis=-1)
+
+
+def _cholesky_runs(m):
+    try:
+        np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _qr_pos(a):
@@ -325,7 +455,7 @@ def qr_product_forward(points, jacobian, q0):
     """
     q = _seed_frames(points, q0)
     for p in points:
-        q = _qr_pos(mat_mul(jacobian(p), q))
+        q = _qr_pos(jacobian(p) @ q)
     return q
 
 

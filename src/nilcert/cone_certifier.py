@@ -8,8 +8,14 @@ sends that cone strictly inside itself.  Strict containment of one
 quadratic cone in another is decidable by the S-procedure: the cone of
 ``S_1`` lies in the open cone of ``S_2`` (zero excepted) iff
 ``S_2 - lam S_1`` is positive definite for some ``lam >= 0``, and the
-best margin over ``lam`` is a concave scalar problem solved by
-golden-section search.
+best margin over ``lam`` is a concave scalar problem.
+
+The certified maps ``(R_theta D)^n / tau^n`` turn one coordinate plane
+of a diagonal map, so ``S_2 - lam S_1`` splits into seven scalars and
+one 2x2 block; the margins over a theta grid come from one vectorized
+golden-section search over those blocks (``_kernels.block_margins``).
+Perturbed maps are full 9x9 matrices: each is decided by one rigorous
+Cholesky test at a known multiplier, with the 9x9 search as fallback.
 
 Building on this, the module finds uniform domination exponents for
 rotated one-parameter families over a grid, derives a robustness radius
@@ -28,11 +34,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._kernels import (
+    block_margins,
+    block_norms,
     containment_margin,
     grid_domination_margins,
-    mat_pow_int,
     qr_product_forward,
     qr_product_pullback,
+    rotated_blocks,
+    rump_positive_definite,
 )
 from .deformation import RotationPlane
 from .nilmanifold import DIM, AutomorphismSpec, LatticeSpec
@@ -91,6 +100,15 @@ def _axes_frame(axes: Sequence[int], dim: int = DIM) -> np.ndarray:
 class DominationWitness:
     """A uniform exponent certifying strict cone invariance on a grid.
 
+    Per threshold, ``worst_margins`` is the smallest grid margin,
+    ``worst_thetas`` its angle and ``multipliers`` its maximizing
+    multiplier; of equal margins, the smallest theta wins.  The exponent
+    was accepted because every grid margin, less its own rounding bound,
+    clears ``margin_floor``.  The multiplier is searched in
+    ``[0, lambda_cap]``; ``lambda_at_cap`` flags, per threshold, a grid
+    point whose maximizer reached the cap, where a larger cap could give
+    a larger margin.
+
     ``history`` keeps one row per attempted exponent — ``(n, margin_1,
     ..., margin_k)`` with the worst grid margin per threshold — so
     failed exponents remain inspectable and exportable.
@@ -103,6 +121,8 @@ class DominationWitness:
     multipliers: tuple[float, ...]
     grid: int
     margin_floor: float
+    lambda_cap: float
+    lambda_at_cap: tuple[bool, ...]
     history: tuple[tuple[float, ...], ...]
 
     def describe(self) -> str:
@@ -113,6 +133,12 @@ class DominationWitness:
             )
         )
         return f"n = {self.exponent} ({pieces})"
+
+
+def _grid(a: float, grid: int) -> np.ndarray:
+    if a < 0:
+        raise ValueError("rotation range must be nonnegative")
+    return np.linspace(0.0, a, grid) if a > 0 else np.array([0.0])
 
 
 def find_domination_exponent(
@@ -132,38 +158,36 @@ def find_domination_exponent(
     threshold ``beta^n`` (the annulus's upper edge, compounded) is
     tested for strict self-containment under ``(R_theta D)^n`` at every
     grid angle ``theta`` in ``[0, a]`` — the untwisted map is the
-    ``theta = 0`` grid point.  The first exponent whose worst margin
-    clears ``margin_floor`` for every annulus is returned; exhausting
-    ``n_max`` raises :class:`CertificationError` carrying the margin
-    history on the exception.
+    ``theta = 0`` grid point.  The first exponent whose grid margins, each
+    less its rounding bound, clear ``margin_floor`` for every annulus is
+    returned; exhausting ``n_max`` raises :class:`CertificationError`
+    carrying the margin history on the exception.  ``plane`` must be a
+    coordinate plane (``ValueError`` otherwise).
     """
     diag = np.asarray(diag, dtype=float)
-    if a < 0:
-        raise ValueError("rotation range must be nonnegative")
-    thetas = np.linspace(0.0, a, grid) if a > 0 else np.array([0.0])
+    thetas = _grid(a, grid)
     history: list[tuple[float, ...]] = []
     for n in range(1, n_max + 1):
-        worst_margins = []
-        worst_thetas = []
-        multipliers = []
-        for ann in annuli:
-            res = grid_domination_margins(
+        rows = [
+            grid_domination_margins(
                 diag, thetas, n, ann.beta_q, plane.e1, plane.e2, lam_hi, tol
             )
-            k = int(np.argmin(res[:, 0]))
-            worst_margins.append(float(res[k, 0]))
-            worst_thetas.append(float(thetas[k]))
-            multipliers.append(float(res[k, 1]))
+            for ann in annuli
+        ]
+        worst = [int(np.argmin(res[:, 0])) for res in rows]  # first of ties
+        worst_margins = tuple(float(res[k, 0]) for res, k in zip(rows, worst))
         history.append((float(n), *worst_margins))
-        if all(m >= margin_floor for m in worst_margins):
+        if all((res[:, 0] - res[:, 2]).min() >= margin_floor for res in rows):
             return DominationWitness(
                 exponent=n,
                 thresholds=tuple(ann.beta_q**n for ann in annuli),
-                worst_margins=tuple(worst_margins),
-                worst_thetas=tuple(worst_thetas),
-                multipliers=tuple(multipliers),
+                worst_margins=worst_margins,
+                worst_thetas=tuple(float(thetas[k]) for k in worst),
+                multipliers=tuple(float(res[k, 1]) for res, k in zip(rows, worst)),
                 grid=len(thetas),
                 margin_floor=margin_floor,
+                lambda_cap=float(lam_hi),
+                lambda_at_cap=tuple(bool((res[:, 1] >= lam_hi - tol).any()) for res in rows),
                 history=tuple(history),
             )
     err = CertificationError(
@@ -187,6 +211,8 @@ class RobustnessReport:
     the n-step map.  It is derived from the grid margins through the
     explicit shift bound (see :func:`robustness_radius`) and then
     stress-tested by random perturbation trials at ``safety * delta``.
+    ``fallbacks`` counts the trial-annulus checks whose Cholesky test
+    failed and that ran the full margin search.
     """
 
     delta: float
@@ -194,17 +220,9 @@ class RobustnessReport:
     per_threshold: tuple[float, ...]
     trials: int
     failures: int
+    fallbacks: int
     safety: float
     seed: int
-
-
-def _containment_margin_of(matrix: np.ndarray, lam_hi: float, tol: float) -> float:
-    """S-procedure margin of the normalized expansion cone of ``matrix``."""
-    minv = np.linalg.inv(matrix)
-    s_tgt = matrix.T @ matrix - np.eye(matrix.shape[0])
-    s_img = np.eye(matrix.shape[0]) - minv.T @ minv
-    margin, _ = containment_margin(s_img, s_tgt, lam_hi, tol)
-    return float(margin)
 
 
 def robustness_radius(
@@ -232,74 +250,85 @@ def robustness_radius(
     so containment persists while ``shift(d) = |dS_tgt| + lam |dS_img|``
     stays below the unperturbed margin.  The radius is the infimum over
     the theta grid and the annuli of the bisected ``d``, rescaled to an
-    absolute perturbation by ``tau^n``.  Monte Carlo trials then perturb
-    the n-step map at ``safety * delta`` in random directions at random
-    angles and re-run the full containment check; the report records the
-    failure count (an acceptable certificate has zero).
+    absolute perturbation by ``tau^n``; margins and norms come from the
+    block form, so ``plane`` must be a coordinate plane (``ValueError``
+    otherwise).
+
+    Monte Carlo trials then perturb the n-step map at ``safety * delta``
+    in random directions at random angles (drawn per trial: the angle,
+    then the 9x9 direction).  Per annulus, all trials are decided
+    together: ``S_tgt - lam* S_img`` of the perturbed map, with ``lam*``
+    the multiplier at the nearest grid angle, is proven positive definite
+    by one stacked Cholesky under Rump's criterion
+    (``_kernels.rump_positive_definite``), which proves containment.  A
+    trial whose test fails runs the full containment search; the report
+    records the failure count (an acceptable certificate has zero).
     """
     diag = np.asarray(diag, dtype=float)
-    thetas = np.linspace(0.0, a, grid) if a > 0 else np.array([0.0])
+    thetas = _grid(a, grid)
     dim = diag.shape[0]
 
-    def n_step(theta: float) -> np.ndarray:
-        r = plane.rotation_matrix(theta)
-        return mat_pow_int(r @ np.diag(diag), n)
-
     per_threshold: list[float] = []
+    multipliers: list[np.ndarray] = []
     for ann in annuli:
         tau_n = ann.beta_q**n
-        best = math.inf
-        for theta in thetas:
-            m = n_step(float(theta)) / tau_n
-            minv = np.linalg.inv(m)
-            s_tgt = m.T @ m - np.eye(dim)
-            s_img = np.eye(dim) - minv.T @ minv
-            margin, lam = containment_margin(s_img, s_tgt, lam_hi, tol)
-            if margin <= 0:
-                raise CertificationError(
-                    f"cannot derive robustness radius: margin {margin:.3e} "
-                    f"at theta={theta:.4f}, threshold {tau_n:.4g}"
-                )
-            nm = float(np.linalg.norm(m, 2))
-            nmi = float(np.linalg.norm(minv, 2))
-
-            def shift(d: float) -> float:
-                if nmi * d >= 1.0:
-                    return math.inf
-                e = nmi * d / (1.0 - nmi * d)
-                return 2.0 * nm * d + d * d + lam * (
-                    2.0 * nmi * nmi * e + (nmi * e) ** 2
-                )
-
-            lo, hi = 0.0, 1.0
+        blocks = rotated_blocks(diag, thetas, n, ann.beta_q, plane.e1, plane.e2)
+        margin, lam, _ = block_margins(*blocks, n, lam_hi, tol).T
+        bad = np.flatnonzero(margin <= 0)
+        if bad.size:
+            raise CertificationError(
+                f"cannot derive robustness radius: margin {margin[bad[0]]:.3e} "
+                f"at theta={thetas[bad[0]]:.4f}, threshold {tau_n:.4g}"
+            )
+        nm, nmi = block_norms(*blocks).T
+        # Bisect d on every grid angle at once; shift(d) is infinite once
+        # |M^-1| d >= 1.  Stop when no midpoint moves a bracket end.
+        lo, hi = np.zeros_like(margin), np.ones_like(margin)
+        with np.errstate(divide="ignore", invalid="ignore"):
             for _ in range(200):
                 mid = (lo + hi) / 2.0
-                if shift(mid) < margin:
-                    lo = mid
-                else:
-                    hi = mid
-            best = min(best, lo * tau_n)
-        per_threshold.append(best)
+                if ((mid == lo) | (mid == hi)).all():
+                    break
+                x = nmi * mid
+                e = x / (1.0 - x)
+                shift = 2.0 * nm * mid + mid * mid + lam * (2.0 * nmi * nmi * e + (nmi * e) ** 2)
+                below = (x < 1.0) & (shift < margin)
+                lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        per_threshold.append(float(lo.min() * tau_n))
+        multipliers.append(lam)
 
     delta = min(per_threshold)
     rng = np.random.default_rng(seed)
-    failures = 0
-    for _ in range(trials):
-        theta = float(rng.uniform(0.0, a)) if a > 0 else 0.0
-        e = rng.normal(size=(dim, dim))
-        e *= safety * delta / np.linalg.norm(e, 2)
-        perturbed = n_step(theta) + e
-        for ann in annuli:
-            tau_n = ann.beta_q**n
-            if _containment_margin_of(perturbed / tau_n, lam_hi, tol) <= 0.0:
-                failures += 1
-                break
+    angles = np.zeros(trials)
+    rot = np.empty((trials, dim, dim))
+    perturbed = np.empty((trials, dim, dim))
+    for t in range(trials):
+        angles[t] = float(rng.uniform(0.0, a)) if a > 0 else 0.0
+        rot[t] = plane.rotation_matrix(angles[t])
+        perturbed[t] = rng.normal(size=(dim, dim))
+    perturbed *= (safety * delta / np.linalg.norm(perturbed, 2, axis=(1, 2)))[:, None, None]
+    perturbed += np.linalg.matrix_power(rot * diag, n)
+    nearest = np.abs(angles[:, None] - thetas).argmin(axis=1)
+
+    eye = np.eye(dim)
+    failed = np.zeros(trials, dtype=bool)
+    fallbacks = 0
+    for ann, lam in zip(annuli, multipliers):
+        m = perturbed / ann.beta_q**n
+        minv = np.linalg.inv(m)
+        s_tgt = np.swapaxes(m, -1, -2) @ m - eye
+        s_img = eye - np.swapaxes(minv, -1, -2) @ minv
+        proven = rump_positive_definite(s_tgt - lam[nearest, None, None] * s_img)
+        for t in np.flatnonzero(~proven & ~failed):
+            fallbacks += 1
+            failed[t] = containment_margin(s_img[t], s_tgt[t], lam_hi, tol)[0] <= 0.0
     return RobustnessReport(
         delta=float(delta),
         exponent=n,
         per_threshold=tuple(per_threshold),
         trials=trials,
-        failures=failures,
+        failures=int(failed.sum()),
+        fallbacks=fallbacks,
         safety=safety,
         seed=seed,
     )

@@ -92,7 +92,7 @@ EXIT_CERTIFICATION_FAILURE = 3
 EXIT_INTERNAL_ERROR = 4
 EXIT_BROKEN_PIPE = 141
 
-REPORT_SCHEMA_VERSION = "2"
+REPORT_SCHEMA_VERSION = "3"
 
 
 class ConfigError(ValueError):
@@ -584,6 +584,8 @@ def _stage_certification(
         "multipliers": list(witness.multipliers),
         "grid": witness.grid,
         "margin_floor": witness.margin_floor,
+        "lambda_cap": witness.lambda_cap,
+        "lambda_at_cap": list(witness.lambda_at_cap),
     }
     frag["margin_history"] = [list(r) for r in witness.history]
     rob = robustness_radius(
@@ -601,6 +603,7 @@ def _stage_certification(
         "per_threshold": list(rob.per_threshold),
         "trials": rob.trials,
         "failures": rob.failures,
+        "fallbacks": rob.fallbacks,
         "safety": rob.safety,
         "seed": rob.seed,
     }
@@ -926,6 +929,17 @@ def cmd_plan(config: PipelineConfig) -> int:
     return EXIT_PASS if con is not None else EXIT_CERTIFICATION_FAILURE
 
 
+def _print_certification_diagnostics(frag: dict) -> None:
+    witness = frag.get("witness", {})
+    if "lambda_cap" in witness:
+        print(f"    multiplier cap {witness['lambda_cap']:g}, reached per annulus: "
+              f"{witness['lambda_at_cap']}")
+    rob = frag.get("robustness", {})
+    if "fallbacks" in rob:
+        print(f"    Monte Carlo: {rob['failures']} failures in {rob['trials']} trials, "
+              f"{rob['fallbacks']} Cholesky fallbacks")
+
+
 def cmd_report(config: PipelineConfig) -> int:
     """Pretty-print a previously written report from the output directory."""
     path = Path(config.out_dir) / "report.json"
@@ -946,6 +960,8 @@ def cmd_report(config: PipelineConfig) -> int:
         print(f"  {name}: {status}")
         if frag.get("error"):
             print(f"    error: {frag['error']}")
+        if name == "certification":
+            _print_certification_diagnostics(frag)
     print(f"verdict: {report.get('verdict')}")
     return EXIT_PASS
 

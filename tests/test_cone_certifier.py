@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nilcert import cone_certifier as cc
-from nilcert._kernels import mat_mul, qr_product_forward, qr_product_pullback
+from nilcert._kernels import containment_margin, qr_product_forward, qr_product_pullback
 from nilcert.cone_certifier import (
     CENTER_AXES,
     CertificationError,
@@ -42,6 +42,11 @@ def test_domination_exponent_for_default_construction(
     assert witness.history[0][0] == 1.0
     assert witness.history[0][1] < 0
     assert "n = 2" in witness.describe()
+    # The lower-annulus margin is the same at every grid angle, so the tie
+    # rule puts its worst angle at theta = 0.
+    assert witness.worst_thetas[0] == 0.0
+    assert witness.lambda_cap == 8.0
+    assert witness.lambda_at_cap == (False, False)
 
 
 def test_domination_margins_match_reference_values(auto, annuli, collapse_angle):
@@ -80,6 +85,36 @@ def test_robustness_radius_positive_with_zero_failures(
     assert report.failures == 0
     assert len(report.per_threshold) == 2
     assert report.delta <= min(report.per_threshold)
+    assert report.fallbacks == 0
+
+
+def test_batched_cholesky_decides_trials_as_the_full_search(auto, annuli, collapse_angle):
+    # At a million times the certified radius some trials fail, and some
+    # Cholesky tests fail on trials that the full search still passes.
+    plane = RotationPlane.from_basis_indices(3, 8)
+    n, trials, safety = 2, 200, 1e6
+    report = robustness_radius(
+        auto.diag, plane, collapse_angle, annuli, n=n, grid=128, trials=trials, safety=safety
+    )
+    rng = np.random.default_rng(0)
+    diag = np.asarray(auto.diag, dtype=float)
+    failures = 0
+    for _ in range(trials):
+        theta = float(rng.uniform(0.0, collapse_angle))
+        e = rng.normal(size=(DIM, DIM))
+        e *= safety * report.delta / np.linalg.norm(e, 2)
+        m = np.linalg.matrix_power(plane.rotation_matrix(theta) * diag, n) + e
+        for ann in annuli:
+            mt = m / ann.beta_q**n
+            mi = np.linalg.inv(mt)
+            s_tgt = mt.T @ mt - np.eye(DIM)
+            s_img = np.eye(DIM) - mi.T @ mi
+            if containment_margin(s_img, s_tgt, 8.0, 1e-12)[0] <= 0.0:
+                failures += 1
+                break
+    assert 0 < failures < trials
+    assert report.failures == failures
+    assert report.fallbacks > failures
 
 
 def test_cocycle_products_compose_exactly(deformed):
@@ -259,7 +294,7 @@ def _alone(dyn, x, steps, seed_b, seed_f, n=0):
         fwd.append(jac)
     q_b = seed_b.copy()
     for jac in back[::-1]:
-        q_b = _qr_pos(mat_mul(jac, q_b))
+        q_b = _qr_pos(jac @ q_b)
     q_f = seed_f.copy()
     for jac in fwd[:steps][::-1]:
         q_f = _qr_pos(np.linalg.solve(jac, q_f))

@@ -1,16 +1,22 @@
 """The numpy kernels against the element loops they replaced.
 
 The references below are those loops, kept as oracles.  Reports are
-byte-reproducible only while the kernels match them bit for bit, so the
-comparisons are exact (``np.array_equal``), not within a tolerance.
+byte-reproducible only while the rotation kernels match them bit for bit,
+so those comparisons are exact (``np.array_equal``), not within a
+tolerance.  The block-form domination margins are checked against the
+9x9 per-theta search they replaced, within the few ulps of the matrix
+norm that ``eigvalsh`` itself is accurate to, and against an ``mpmath``
+evaluation within their own rounding bound.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from nilcert import _kernels
+from nilcert.cone_certifier import find_domination_exponent, robustness_radius
 from nilcert.deformation import LocalRotationMap, RotationPlane, make_profile
 from nilcert.nilmanifold import DIM
 
@@ -18,15 +24,27 @@ ANGLE = 1.1390942143376726  # the default construction's collapse angle
 PLANE = RotationPlane.from_basis_indices(3, 8)
 
 
-def _ref_mat_mul(a, b):
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            acc = 0.0
-            for t in range(a.shape[1]):
-                acc += a[i, t] * b[t, j]
-            out[i, j] = acc
+def _ref_grid_domination_margins(diag, thetas, n, tau, e1, e2, lam_hi, tol):
+    """The 9x9 search per theta: (margin, multiplier) and the norm of
+    S_tgt - lam S_img at the multiplier, shape (len(thetas), 3)."""
+    dim = diag.shape[0]
+    out = np.zeros((thetas.shape[0], 3))
+    for k, theta in enumerate(thetas):
+        r = RotationPlane(e1, e2).rotation_matrix(float(theta))
+        m = np.linalg.matrix_power(r * diag, n) * tau ** (-float(n))
+        minv = np.linalg.inv(m)
+        s_tgt = m.T @ m - np.eye(dim)
+        s_img = np.eye(dim) - minv.T @ minv
+        margin, lam = _kernels.containment_margin(s_img, s_tgt, lam_hi, tol)
+        out[k] = margin, lam, np.linalg.norm(s_tgt - lam * s_img, 2)
     return out
+
+
+def _combo(diag, theta, n, tau, lam):
+    """S_tgt - lam S_img of the 9x9 map (R_theta D)^n / tau^n."""
+    m = np.linalg.matrix_power(PLANE.rotation_matrix(theta) * diag, n) / tau**n
+    minv = np.linalg.inv(m)
+    return m.T @ m - np.eye(DIM) - lam * (np.eye(DIM) - minv.T @ minv)
 
 
 def _ref_radius(x):
@@ -133,14 +151,6 @@ def _points(profile, seed, count=200):
         yield x * rng.uniform(0.0, 1.5 * profile.support_radius) / np.linalg.norm(x)
 
 
-def test_mat_mul_matches_loop():
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        a = rng.normal(size=(DIM, DIM))
-        b = rng.normal(size=(DIM, int(rng.integers(1, DIM + 1))))
-        assert _identical(_kernels.mat_mul(a, b), _ref_mat_mul(a, b))
-
-
 @pytest.mark.parametrize("eps", [0.05, 1.0], ids=["default", "wide-blends"])
 def test_profile_matches_loop(eps):
     profile = make_profile(ANGLE, eps)
@@ -186,3 +196,77 @@ def test_inverse_rotation_reads_the_angle_as_the_forward_map_does():
         expected = _ref_rotate_in_plane(y, e1, e2, -theta) if theta != 0.0 else y
         assert _identical(_kernels.h_apply_inverse(y, p, e1, e2), expected)
         assert _identical(rot.apply_inverse(y), expected)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_block_margins_match_the_9x9_search(auto, annuli, collapse_angle, n):
+    diag = np.asarray(auto.diag, dtype=float)
+    thetas = np.linspace(0.0, collapse_angle, 128)
+    for ann in annuli:
+        args = (diag, thetas, n, ann.beta_q, PLANE.e1, PLANE.e2, 8.0, 1e-12)
+        block = _kernels.grid_domination_margins(*args)
+        ref = _ref_grid_domination_margins(*args)
+        tol = 8.0 * np.finfo(float).eps * ref[:, 2]
+        assert np.all(np.abs(block[:, 0] - ref[:, 0]) <= tol)
+        # eigvalsh at the block-form multiplier, as perfbench's check does.
+        for theta, (margin, lam, _) in zip(thetas, block):
+            combo = _combo(diag, float(theta), n, ann.beta_q, lam)
+            recheck = np.linalg.eigvalsh(combo)[0]
+            assert abs(recheck - margin) <= 8.0 * np.finfo(float).eps * np.linalg.norm(combo, 2)
+
+
+def _exact_margin(diag, theta, n, tau, lam):
+    """min-eig(S_tgt - lam S_img) of the 9x9 map, in 60-digit arithmetic,
+    from the same float inputs."""
+    with mpmath.workdps(60):
+        i, j = 3, 8
+        r = mpmath.eye(DIM)
+        r[i, i] = r[j, j] = mpmath.cos(mpmath.mpf(theta))
+        r[j, i] = mpmath.sin(mpmath.mpf(theta))
+        r[i, j] = -r[j, i]
+        m = (r * mpmath.diag([mpmath.mpf(d) for d in diag])) ** n / mpmath.mpf(tau) ** n
+        minv = m**-1
+        eye = mpmath.eye(DIM)
+        combo = m.T * m - eye - mpmath.mpf(lam) * (eye - minv.T * minv)
+        return min(mpmath.eigsy(combo, eigvals_only=True))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_block_margins_lie_within_their_rounding_bound(auto, annuli, collapse_angle, n):
+    diag = np.asarray(auto.diag, dtype=float)
+    thetas = np.array([0.0, 0.3, collapse_angle])
+    for ann in annuli:
+        res = _kernels.grid_domination_margins(
+            diag, thetas, n, ann.beta_q, PLANE.e1, PLANE.e2, 8.0, 1e-12
+        )
+        for theta, (margin, lam, bound) in zip(thetas, res):
+            assert 0.0 < bound < 1e-4 * max(1.0, abs(margin))
+            exact = _exact_margin(diag, float(theta), n, ann.beta_q, lam)
+            assert abs(mpmath.mpf(margin) - exact) <= bound
+
+
+def test_block_form_rejects_a_plane_off_the_axes(auto, annuli, collapse_angle):
+    tilted = RotationPlane(
+        np.eye(DIM)[3], (np.eye(DIM)[4] + np.eye(DIM)[8]) / math.sqrt(2.0)
+    )
+    with pytest.raises(ValueError, match="coordinate plane"):
+        find_domination_exponent(auto.diag, tilted, collapse_angle, annuli, grid=16)
+    with pytest.raises(ValueError, match="coordinate plane"):
+        robustness_radius(auto.diag, tilted, collapse_angle, annuli, n=2, grid=16, trials=4)
+
+
+def test_rump_criterion_proves_only_clear_positive_definiteness():
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.normal(size=(DIM, DIM)))
+
+    def with_spectrum(low):
+        spectrum = np.geomspace(1.0, 1e9, DIM)
+        spectrum[0] = low
+        a = (q * spectrum) @ q.T
+        return 0.5 * (a + a.T)
+
+    stack = np.stack([with_spectrum(1.0), with_spectrum(1e-3), with_spectrum(-1e-3)])
+    # tr(A) is about 1.1e9, so the shift is near 2.5e-6: 1e-3 clears it.
+    assert _kernels.rump_positive_definite(stack).tolist() == [True, True, False]
+    # Positive definite, but inside the rounding of a matrix of norm 1e9.
+    assert not _kernels.rump_positive_definite(with_spectrum(1e-9)[None])[0]

@@ -105,7 +105,7 @@ def test_default_pipeline_passes_every_stage(pipeline_reports):
         "sweep",
     ):
         assert report["stages"][name]["status"] == "pass", name
-    assert report["schema_version"] == "2"
+    assert report["schema_version"] == "3"
     assert report["tool"]["name"] == "nilcert"
     assert report["erratum_notes"]
 
@@ -358,7 +358,9 @@ def test_report_command_pretty_prints(tmp_path, capsys):
     assert main(["report", "--out", str(out_dir)]) == EXIT_PASS
     stdout = capsys.readouterr().out
     assert "verdict: PASS" in stdout
-    assert "schema 2" in stdout
+    assert "schema 3" in stdout
+    assert "multiplier cap 8, reached per annulus: [False, False]" in stdout
+    assert "Monte Carlo: 0 failures in 100 trials, 0 Cholesky fallbacks" in stdout
 
 
 def test_report_command_missing_file(tmp_path, capsys):
