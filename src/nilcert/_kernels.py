@@ -4,13 +4,15 @@ S-procedure cone margins in block form, a rigorous positive-definiteness
 test and QR frame transport.  Structured inputs (profiles, planes) arrive
 flattened by their owning modules.
 
-The rotation kernels reproduce bit for bit the element loops they
-replaced (kept as oracles in ``tests/test_kernels.py``).  They take
-in-plane coordinates as ``e1 @ x``, which is exact when ``e1`` and ``e2``
-are coordinate vectors.  Those are the only planes the pipeline rotates
-in: its planner stage passes only single-step plans, and every
-single-step plan turns a coordinate plane.  The domination kernels
-require one (:func:`plane_axes`).
+The profile kernel takes an array of radii and the rotation kernels an
+(N, d) stack of rows; each radius or row gets the value the element
+loops kept as oracles in ``tests/test_kernels.py`` give it alone, bit for
+bit.  The rotation kernels take in-plane coordinates as one
+``np.vecdot`` per row, which is exact when ``e1`` and ``e2`` are
+coordinate vectors.  Those are the only planes the pipeline rotates in:
+its planner stage passes only single-step plans, and every single-step
+plan turns a coordinate plane.  The domination kernels require one
+(:func:`plane_axes`).
 
 Products are plain ``@``.  On stacks, ``(N, d, d) @ (N, d, k)`` runs the
 same routine per matrix as a single ``@``, so the QR transport kernels
@@ -85,136 +87,127 @@ def _quintic_d(u, y0, d0, s0, y1, d1, s1):
     return y0 * h00 + d0 * h10 + s0 * h20 + y1 * h01 + d1 * h11 + s1 * h21
 
 
-def _psi_piece(t, p):
-    """The piece of the profile that holds radius t: ``("flat", value)``
-    where it is constant, ``("log", value)`` on the log branch, or
-    ``("blend", (2w, u, y0, d0, s0, y1, d1, s1))`` in a blend window, with
-    u the window coordinate and the quintic's endpoint data."""
+def psi_rows(t, p):
+    """The profile psi and its radial slope psi' at every radius of t:
+    two arrays of t's shape.
+
+    Each radius takes the first piece that holds it: the plateau value a
+    for t <= 0, zero from the support radius on, the inner blend window
+    (the plateau before it), the outer blend window, and the log branch
+    ``-(eps/2) log t + c``, clamped to the plateau where it exceeds a.
+    Each piece's formula runs only on its own radii, so no log or
+    division is taken outside its piece.  The log branch takes
+    ``math.log`` per radius: ``np.log`` differs from it in the last bit
+    on some arguments, which moves reports.
+    """
     a, eps, b, c, w = p[:5]
-    lo_on = p[5] > 0.5
-    hi_on = p[6] > 0.5
     half = 0.5 * eps
-    if t <= 0.0:
-        return "flat", a
-    if t >= (half + w if hi_on else half):
-        return "flat", 0.0
-    if lo_on and t < b + w:
-        if t <= b - w:
-            return "flat", a
+    shape = np.shape(t)
+    t = np.asarray(t, dtype=float).reshape(-1)
+    val = np.full(t.shape, a)
+    slope = np.zeros(t.shape)
+    rest = ~(t <= 0.0)
+    zero = rest & (t >= (half + w if p[6] > 0.5 else half))
+    val[zero] = 0.0
+    rest &= ~zero
+    blends = []  # (radii, window start, the quintic's endpoint data)
+    if p[5] > 0.5:
         # Inner blend: scaled endpoint data, independent of the size of b.
-        u = (t - (b - w)) / (2.0 * w)
+        window = rest & (t < b + w)
+        rest &= ~window
         y1 = a - half * math.log(1.25)  # value of the log branch at b + w
         d1 = -half * 0.4  # slope * (2w): -(eps/2) * 2w/(b+w) = -(eps/2)*(2/5)
         s1 = half * 0.16  # curvature * (2w)^2: (eps/2) * (2/5)^2
-        return "blend", (2.0 * w, u, a, 0.0, 0.0, y1, d1, s1)
-    if not lo_on and t < b:
-        return "flat", a
-    if hi_on and t > half - w:
-        u = (t - (half - w)) / (2.0 * w)
+        blends.append((window & ~(t <= b - w), b - w, (a, 0.0, 0.0, y1, d1, s1)))
+    else:
+        rest &= ~(t < b)
+    if p[6] > 0.5:
+        window = rest & (t > half - w)
+        rest &= ~window
         t0 = half - w
         y0 = -half * math.log(t0) + c
         d0 = -half * (2.0 * w) / t0
         s0 = half * (2.0 * w / t0) ** 2
-        return "blend", (2.0 * w, u, y0, d0, s0, 0.0, 0.0, 0.0)
-    val = -half * math.log(t) + c
-    if val > a:
-        return "flat", a  # clamped to the plateau
-    return "log", val
-
-
-def psi_eval_params(t, p):
-    kind, data = _psi_piece(t, p)
-    if kind == "blend":
-        return _quintic(*data[1:])
-    return data
-
-
-def psi_slope_params(t, p):
-    kind, data = _psi_piece(t, p)
-    if kind == "blend":
-        return _quintic_d(*data[1:]) / data[0]
-    if kind == "log":
-        return -(0.5 * p[1]) / t
-    return 0.0
-
-
-def _radius(x):
-    # Squares summed in index order on any Python (builtin sum compensates
-    # from 3.12 on); on 9-vectors this loop beats any numpy reduction.
-    s = 0.0
-    for v in x.tolist():
-        s += v * v
-    return math.sqrt(s)
+        blends.append((window, t0, (y0, d0, s0, 0.0, 0.0, 0.0)))
+    for window, start, ends in blends:
+        if window.any():
+            u = (t[window] - start) / (2.0 * w)
+            val[window] = _quintic(u, *ends)
+            slope[window] = _quintic_d(u, *ends) / (2.0 * w)
+    if rest.any():
+        ramp = -half * np.array([math.log(v) for v in t[rest].tolist()]) + c
+        clamped = ramp > a
+        ramp[clamped] = a
+        val[rest] = ramp
+        rest[rest] = ~clamped
+        slope[rest] = -half / t[rest]
+    return val.reshape(shape), slope.reshape(shape)
 
 
 def row_radii(x):
-    """:func:`_radius` of every row of x (N, d), bit for bit: the squares
-    are summed column by column in the same index order."""
+    """The Euclidean norm of every row of x (N, d), its squares summed
+    column by column, in index order."""
     s = np.zeros(x.shape[0])
     for k in range(x.shape[1]):
         s += x[:, k] * x[:, k]
     return np.sqrt(s)
 
 
-def rotate_in_plane(x, e1, e2, theta):
-    """Rotate x by theta in the oriented plane spanned by (e1, e2).
-
-    The plane basis must be orthonormal; the complement is fixed
-    pointwise.  Cost is two dot products and two axpy updates.
-    """
-    c1 = e1 @ x
-    c2 = e2 @ x
-    out = x + (math.cos(theta) - 1.0) * (c1 * e1 + c2 * e2)
-    out += math.sin(theta) * (c1 * e2 - c2 * e1)
+def _rotate(x, theta, e1, e2):
+    """Rotate each row of x (N, d) by its angle theta (N,) in the oriented
+    plane spanned by the orthonormal pair (e1, e2), fixing the complement
+    pointwise.  Rows whose angle is exactly 0 are copied unchanged."""
+    c1 = np.vecdot(x, e1)[:, None]
+    c2 = np.vecdot(x, e2)[:, None]
+    out = x + (np.cos(theta)[:, None] - 1.0) * (c1 * e1 + c2 * e2)
+    out += np.sin(theta)[:, None] * (c1 * e2 - c2 * e1)
+    still = theta == 0.0
+    out[still] = x[still]
     return out
 
 
 def h_apply(x, p, e1, e2):
-    """Local rotation by the profile angle: rotate x by psi(|x|)."""
-    theta = psi_eval_params(_radius(x), p)
-    if theta == 0.0:
-        return x.copy()
-    return rotate_in_plane(x, e1, e2, theta)
+    """Local rotation by the profile angle: rotate each row x[i] of x
+    (N, d) by psi(|x[i]|)."""
+    return _rotate(x, psi_rows(row_radii(x), p)[0], e1, e2)
 
 
 def h_apply_inverse(y, p, e1, e2):
-    """Inverse of :func:`h_apply`: rotate y back by psi(|y|).
+    """Inverse of :func:`h_apply`: rotate each row y[i] back by psi(|y[i]|).
 
     The angle is read at the image radius, summed in the same order as
     :func:`h_apply` sums the radius of its argument.
     """
-    theta = psi_eval_params(_radius(y), p)
-    if theta == 0.0:
-        return y.copy()
-    return rotate_in_plane(y, e1, e2, -theta)
+    return _rotate(y, -psi_rows(row_radii(y), p)[0], e1, e2)
 
 
 def h_jacobian(x, p, e1, e2):
-    """Jacobian of :func:`h_apply` at x.
+    """Jacobians of :func:`h_apply` at the rows of x (N, d): an (N, d, d)
+    stack.
 
     Writing R for the rotation by psi(r) and J for its angular generator
     restricted to the plane, the derivative is R + (r psi'(r)) (J R xhat)
     outer xhat.  The radial slope enters only through the bounded product
     r * psi'(r), so the formula stays finite arbitrarily close to the
-    origin and across the log branch.
+    origin and across the log branch.  Rows where that product is 0 (the
+    origin among them) get R alone.
     """
-    r = _radius(x)
-    theta = psi_eval_params(r, p)
-    ct = math.cos(theta)
-    st = math.sin(theta)
-    out = np.eye(x.shape[0]) + (ct - 1.0) * (np.outer(e1, e1) + np.outer(e2, e2))
-    out += st * (np.outer(e2, e1) - np.outer(e1, e2))
-    if r == 0.0:
-        return out
-    rslope = r * psi_slope_params(r, p)
-    if rslope == 0.0:
-        return out
-    # J R x with J = e2 e1^T - e1 e2^T, from the rotated plane coordinates of x.
-    c1 = e1 @ x
-    c2 = e2 @ x
-    jrx = (ct * c1 - st * c2) * e2 - (st * c1 + ct * c2) * e1
-    inv_r = 1.0 / r
-    out += np.outer(rslope * jrx, x) * inv_r * inv_r
+    r = row_radii(x)
+    theta, slope = psi_rows(r, p)
+    ct = np.cos(theta)[:, None]
+    st = np.sin(theta)[:, None]
+    out = np.eye(x.shape[1]) + (ct - 1.0)[:, :, None] * (np.outer(e1, e1) + np.outer(e2, e2))
+    out += st[:, :, None] * (np.outer(e2, e1) - np.outer(e1, e2))
+    rslope = r * slope
+    bent = (r != 0.0) & (rslope != 0.0)
+    if bent.any():
+        xb, ct, st = x[bent], ct[bent], st[bent]
+        # J R x with J = e2 e1^T - e1 e2^T, from the rotated plane coordinates of x.
+        c1 = np.vecdot(xb, e1)[:, None]
+        c2 = np.vecdot(xb, e2)[:, None]
+        jrx = (ct * c1 - st * c2) * e2 - (st * c1 + ct * c2) * e1
+        inv_r = (1.0 / r[bent])[:, None, None]
+        out[bent] += (rslope[bent, None] * jrx)[:, :, None] * xb[:, None, :] * inv_r * inv_r
     return out
 
 

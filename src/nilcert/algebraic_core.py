@@ -267,6 +267,15 @@ def _polish_root(p: Sequence[int], x0: float) -> float:
     return x
 
 
+def _root_values(p: Sequence[int], ivs: Sequence[Interval]) -> tuple[float, ...]:
+    """Float views of the roots that ``ivs`` enclose: each midpoint
+    Newton-polished, then clamped into its enclosure."""
+    return tuple(
+        min(max(_polish_root(p, float(iv.mid)), iv.to_floats()[0]), iv.to_floats()[1])
+        for iv in ivs
+    )
+
+
 def isolate_real_roots(
     p: Sequence[int], tol: float = 1e-12
 ) -> list[Interval]:
@@ -398,11 +407,7 @@ class EigenData:
                 "characteristic polynomial is reducible over the rationals"
             )
         ivs = isolate_real_roots(p, tol=tol)
-        values = tuple(
-            min(max(_polish_root(p, float(iv.mid)), iv.to_floats()[0]), iv.to_floats()[1])
-            for iv in ivs
-        )
-        return cls(values=values, intervals=tuple(ivs), poly=p)  # type: ignore[arg-type]
+        return cls(values=_root_values(p, ivs), intervals=tuple(ivs), poly=p)  # type: ignore[arg-type]
 
     @classmethod
     def from_values(
@@ -433,12 +438,11 @@ class EigenData:
         if self.poly is None:
             raise ValueError("no polynomial recorded; cannot refine")
         ivs = isolate_real_roots(self.poly, tol=tol)
-        values = tuple(
-            min(max(_polish_root(self.poly, float(iv.mid)), iv.to_floats()[0]), iv.to_floats()[1])
-            for iv in ivs
-        )
         return EigenData(
-            values=values, intervals=tuple(ivs), poly=self.poly, sigma=dict(self.sigma)
+            values=_root_values(self.poly, ivs),
+            intervals=tuple(ivs),
+            poly=self.poly,
+            sigma=dict(self.sigma),
         )  # type: ignore[arg-type]
 
     def interval(self, index: int) -> Interval:

@@ -670,17 +670,23 @@ def _rate_sample_points(
     for _ in range(n_outer):
         d = rng.normal(size=dim)
         points.append(outer_radius * d / np.linalg.norm(d))
-    # Funnel ladder with forward transit orbits.
+    # Funnel ladder with forward transit orbits: one start per depth, the
+    # round's starts stepped together.  Each orbit ends at the first step
+    # beyond three outer radii.
     depths = [1.0, 0.3, 1e-2, 1e-5, 1e-8, 1e-12, 1e-18]
     while len(points) < count:
-        for dep in depths:
+        x = np.empty((len(depths), dim))
+        for i, dep in enumerate(depths):
             d = rng.normal(size=dim)
-            x = inner_scale * dep * d / np.linalg.norm(d)
-            points.append(x.copy())
-            for _ in range(12):
-                x = dyn.step(x)
-                points.append(x.copy())
-                if np.linalg.norm(x) > 3 * outer_radius:
+            x[i] = inner_scale * dep * d / np.linalg.norm(d)
+        orbits = [x]
+        for _ in range(12):
+            orbits.append(dyn.step(orbits[-1]))
+        for orbit in np.stack(orbits, axis=1):
+            points.append(orbit[0])
+            for p in orbit[1:]:
+                points.append(p)
+                if np.linalg.norm(p) > 3 * outer_radius:
                     break
             if len(points) >= count:
                 break

@@ -32,6 +32,7 @@ to a kink that still satisfies the slope bound).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -193,66 +194,33 @@ def make_profile(a: float, eps: float, verify_points: int = 2001) -> BumpProfile
             f"slope bound violated after smoothing: sup |t psi'| = {sup:.6e} "
             f">= eps = {eps:.6e}"
         )
-    return BumpProfile(
-        a=profile.a,
-        eps=profile.eps,
-        b=profile.b,
-        c=profile.c,
-        w=profile.w,
-        lo_blend=profile.lo_blend,
-        hi_blend=profile.hi_blend,
-        sup_t_slope=sup,
-    )
+    return dataclasses.replace(profile, sup_t_slope=sup)
 
 
 def _measure_sup_t_slope(p: BumpProfile, n: int) -> float:
     """Supremum of |t psi'(t)| over a dense verification grid."""
-    params = p.params
     half = 0.5 * p.eps
-    hi_end = p.support_radius
     lo = p.b / 8 if p.b > 0 else half * 1e-12
     lo = max(lo, 5e-324 * 1e10)
-    ts = list(np.geomspace(lo, hi_end, n))
+    ts = [np.geomspace(lo, p.support_radius, n)]
     if p.lo_blend:
-        ts += list(np.linspace(p.b - p.w, p.b + p.w, 501))
+        ts.append(np.linspace(p.b - p.w, p.b + p.w, 501))
     if p.hi_blend:
-        ts += list(np.linspace(half - p.w, half + p.w, 501))
-    sup = 0.0
-    for t in ts:
-        if t <= 0:
-            continue
-        v = abs(t * _kernels.psi_slope_params(float(t), params))
-        if v > sup:
-            sup = v
-    return sup
+        ts.append(np.linspace(half - p.w, half + p.w, 501))
+    ts = np.concatenate(ts)
+    return float(np.abs(ts * _kernels.psi_rows(ts, p.params)[1]).max())
 
 
 def psi_eval(profile: BumpProfile, t):
     """Profile value at radius ``t`` (scalar or array)."""
-    params = profile.params
-    if np.isscalar(t):
-        return float(_kernels.psi_eval_params(float(t), params))
-    tt = np.asarray(t, dtype=float)
-    out = np.empty_like(tt)
-    flat_in = tt.ravel()
-    flat_out = out.ravel()
-    for i in range(flat_in.size):
-        flat_out[i] = _kernels.psi_eval_params(float(flat_in[i]), params)
-    return out
+    val = _kernels.psi_rows(t, profile.params)[0]
+    return float(val) if np.isscalar(t) else val
 
 
 def psi_slope(profile: BumpProfile, t):
     """Profile radial derivative at ``t`` (scalar or array)."""
-    params = profile.params
-    if np.isscalar(t):
-        return float(_kernels.psi_slope_params(float(t), params))
-    tt = np.asarray(t, dtype=float)
-    out = np.empty_like(tt)
-    flat_in = tt.ravel()
-    flat_out = out.ravel()
-    for i in range(flat_in.size):
-        flat_out[i] = _kernels.psi_slope_params(float(flat_in[i]), params)
-    return out
+    slope = _kernels.psi_rows(t, profile.params)[1]
+    return float(slope) if np.isscalar(t) else slope
 
 
 # ---------------------------------------------------------------------------
@@ -329,25 +297,24 @@ class LocalRotationMap:
     def support_radius(self) -> float:
         return self.profile.support_radius
 
-    def _centered_rows(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """``x`` relative to the centre, and that as an (N, 9) stack of rows."""
+    def _inside_rows(self, x) -> tuple[tuple, np.ndarray, np.ndarray]:
+        """The shape of ``x``, ``x`` relative to the centre as an (N, 9)
+        stack of rows, and the mask of the rows not outside the support
+        ball.  From the support radius on the profile angle is exactly 0."""
         v = np.asarray(x, dtype=float) - self.center
-        return v, v.reshape(-1, DIM)
+        rows = v.reshape(-1, DIM)
+        return v.shape, rows, ~(_kernels.row_radii(rows) >= self.support_radius)
 
-    def _fill_inside(self, kernel, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Set ``out[i] = kernel(rows[i])`` for every row not outside the
-        support ball.  From the support radius on the profile angle is
-        exactly 0, and ``out`` already holds the kernel's value there."""
-        p, e1, e2 = self.profile.params, self.plane.e1, self.plane.e2
-        for i in np.flatnonzero(~(_kernels.row_radii(rows) >= self.support_radius)):
-            out[i] = kernel(rows[i], p, e1, e2)
-        return out
+    def _kernel_args(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self.profile.params, self.plane.e1, self.plane.e2
 
     def apply(self, x) -> np.ndarray:
         """Image of a point (9,), or of each row of an (N, 9) array."""
-        v, rows = self._centered_rows(x)
-        out = self._fill_inside(_kernels.h_apply, rows, rows.copy())
-        return out.reshape(v.shape) + self.center
+        shape, rows, inside = self._inside_rows(x)
+        out = rows.copy()
+        if inside.any():
+            out[inside] = _kernels.h_apply(rows[inside], *self._kernel_args())
+        return out.reshape(shape) + self.center
 
     def apply_inverse(self, y) -> np.ndarray:
         """Inverse: rotate back by the angle read at the image radius.
@@ -356,9 +323,11 @@ class LocalRotationMap:
         angle is the profile at ``|y|``, summed as :meth:`apply` sums
         ``|x|``, and the round trip is exact up to rounding.
         """
-        v, rows = self._centered_rows(y)
-        out = self._fill_inside(_kernels.h_apply_inverse, rows, rows.copy())
-        return out.reshape(v.shape) + self.center
+        shape, rows, inside = self._inside_rows(y)
+        out = rows.copy()
+        if inside.any():
+            out[inside] = _kernels.h_apply_inverse(rows[inside], *self._kernel_args())
+        return out.reshape(shape) + self.center
 
     def jacobian(self, x) -> np.ndarray:
         """Derivative at ``x``: the in-place rotation plus a rank-one radial term.
@@ -371,10 +340,11 @@ class LocalRotationMap:
         enormous (tiny radii on the logarithmic ramp).  At the centre the
         derivative is exactly the rotation by the plateau angle.
         """
-        v, rows = self._centered_rows(x)
+        shape, rows, inside = self._inside_rows(x)
         out = np.tile(np.eye(DIM), (rows.shape[0], 1, 1))
-        out = self._fill_inside(_kernels.h_jacobian, rows, out)
-        return out.reshape(v.shape[:-1] + (DIM, DIM))
+        if inside.any():
+            out[inside] = _kernels.h_jacobian(rows[inside], *self._kernel_args())
+        return out.reshape(shape[:-1] + (DIM, DIM))
 
 
 # ---------------------------------------------------------------------------

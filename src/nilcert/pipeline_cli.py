@@ -532,16 +532,15 @@ def _stage_deformation(
     planned = plane.rotation_matrix(con.step.angle) @ np.diag(con.auto.diag)
     fixed_point_dev = float(np.max(np.abs(d0 - planned)))
     # Sampled rotation-distance and volume checks inside the support.
-    sup_dev = 0.0
-    det_dev = 0.0
-    for _ in range(200):
-        x = rng.normal(size=DIM)
-        x *= rng.uniform(0.0, profile.support_radius * 1.2) / np.linalg.norm(x)
-        jac = rotation.jacobian(x)
-        r = float(np.linalg.norm(x))
-        rot = plane.rotation_matrix(float(psi_eval(profile, r)))
-        sup_dev = max(sup_dev, float(np.linalg.norm(jac - rot, 2)))
-        det_dev = max(det_dev, abs(float(np.linalg.det(jac)) - 1.0))
+    x = np.empty((200, DIM))
+    for k in range(200):
+        d = rng.normal(size=DIM)
+        x[k] = d * (rng.uniform(0.0, profile.support_radius * 1.2) / np.linalg.norm(d))
+    jac = rotation.jacobian(x)
+    angles = psi_eval(profile, [float(np.linalg.norm(xk)) for xk in x])
+    rot = np.array([plane.rotation_matrix(float(theta)) for theta in angles])
+    sup_dev = float(np.linalg.norm(jac - rot, 2, axis=(1, 2)).max())
+    det_dev = float(np.abs(np.linalg.det(jac) - 1.0).max())
     frag["fixed_point_derivative_dev"] = fixed_point_dev
     frag["max_rotation_distance"] = sup_dev
     frag["max_det_deviation"] = det_dev
@@ -815,8 +814,8 @@ def _emit_curves(out_dir: Path, report: dict, config: PipelineConfig) -> None:
             max(profile.b / 4.0, 1e-300), profile.eps, 512
         )
         rows = [
-            (t, float(psi_eval(profile, t)), t * float(psi_slope(profile, t)))
-            for t in ts
+            (t, float(v), t * float(s))
+            for t, v, s in zip(ts, psi_eval(profile, ts), psi_slope(profile, ts))
         ]
         _write_csv(curves / "psi_profile.csv", ["t", "psi", "t_times_slope"], rows)
 

@@ -1,5 +1,7 @@
 """Tests for cone certificates, splitting extraction, and rate reports."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -362,3 +364,49 @@ def test_batched_rates_match_points_walked_alone(
     assert (report.s_max, report.c_lo, report.c_hi, report.u_min) == (
         s_max, c_lo, c_hi, u_min
     )
+
+
+def _ref_rate_sample_points(rng, dyn, count, inner_scale, outer_radius, plane_axes):
+    """The rate sample points with every funnel orbit stepped one point
+    at a time."""
+    points = []
+    for _ in range(max(4, count // 4)):
+        d = rng.normal(size=DIM)
+        points.append(outer_radius * d / np.linalg.norm(d))
+    depths = [1.0, 0.3, 1e-2, 1e-5, 1e-8, 1e-12, 1e-18]
+    while len(points) < count:
+        for dep in depths:
+            d = rng.normal(size=DIM)
+            x = inner_scale * dep * d / np.linalg.norm(d)
+            points.append(x.copy())
+            for _ in range(12):
+                x = dyn.step(x)
+                points.append(x.copy())
+                if np.linalg.norm(x) > 3 * outer_radius:
+                    break
+            if len(points) >= count:
+                break
+        for dep in (0.9, 0.5, 0.1, 1e-3, 1e-8, 1e-15):
+            x = np.zeros(DIM)
+            x[plane_axes[0]] = inner_scale * dep / math.sqrt(2.0)
+            x[plane_axes[1]] = inner_scale * dep / math.sqrt(2.0)
+            points.append(x)
+            if len(points) >= count:
+                break
+    return points[:count]
+
+
+@pytest.mark.parametrize("count", [37, 512])
+@pytest.mark.parametrize("deformed_map", [True, False])
+def test_batched_funnel_orbits_match_points_stepped_alone(
+    deformed, auto, lattice, plane_axes, deformed_map, count
+):
+    dyn = deformed if deformed_map else LinearDynamics(auto, lattice)
+    args = (dyn, count, 0.02, 0.1, plane_axes)
+    points = cc._rate_sample_points(np.random.default_rng(7), *args)
+    ref = _ref_rate_sample_points(np.random.default_rng(7), *args)
+    assert len(points) == len(ref) == count
+    for p, q in zip(points, ref):
+        assert np.array_equal(p, q) and np.array_equal(np.signbit(p), np.signbit(q))
+    if count == 512:  # some orbits end early, beyond three outer radii
+        assert max(np.linalg.norm(p) for p in ref) > 0.3

@@ -138,50 +138,63 @@ def _ref_h_jacobian(x, p, e1, e2):
     return out
 
 
+def _ref_h_apply(x, p, e1, e2, sign=1.0):
+    """Rotation of x by sign * psi(|x|); a copy where the angle is 0."""
+    theta = _ref_psi(_ref_radius(x), p, slope=False)
+    return _ref_rotate_in_plane(x, e1, e2, sign * theta) if theta != 0.0 else x.copy()
+
+
 def _identical(a, b):
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
 def _points(profile, seed, count=200):
-    """Points inside the support ball, out to 1.5 times its radius."""
+    """Points inside the support ball, out to 1.5 times its radius, as
+    one (count, 9) stack."""
     rng = np.random.default_rng(seed)
-    for _ in range(count):
-        x = rng.normal(size=DIM)
-        yield x * rng.uniform(0.0, 1.5 * profile.support_radius) / np.linalg.norm(x)
+    x = np.empty((count, DIM))
+    for k in range(count):
+        d = rng.normal(size=DIM)
+        x[k] = d * rng.uniform(0.0, 1.5 * profile.support_radius) / np.linalg.norm(d)
+    return x
 
 
 @pytest.mark.parametrize("eps", [0.05, 1.0], ids=["default", "wide-blends"])
 def test_profile_matches_loop(eps):
     profile = make_profile(ANGLE, eps)
     p = profile.params
-    ts = [0.0, -1.0, profile.b, profile.support_radius]
+    ts = [0.0, -0.0, -1.0, profile.b, profile.support_radius]
     ts += list(np.geomspace(1e-30, 2.0 * profile.support_radius, 400))
     if profile.lo_blend:
         ts += list(np.linspace(profile.b - 2 * profile.w, profile.b + 2 * profile.w, 50))
     if profile.hi_blend:
         edge = 0.5 * profile.eps
         ts += list(np.linspace(edge - 2 * profile.w, edge + 2 * profile.w, 50))
-    for t in map(float, ts):
-        assert _identical(_kernels.psi_eval_params(t, p), _ref_psi(t, p, slope=False))
-        assert _identical(_kernels.psi_slope_params(t, p), _ref_psi(t, p, slope=True))
+    # Dense radii: np.log differs from math.log in the last bit on a few of
+    # these (4 on the default profile, 8 with wide blends).
+    ts += list(np.random.default_rng(3).uniform(profile.b, profile.support_radius, 20_000))
+    val, slope = _kernels.psi_rows(np.array(ts), p)
+    assert _identical(val, [_ref_psi(t, p, slope=False) for t in map(float, ts)])
+    assert _identical(slope, [_ref_psi(t, p, slope=True) for t in map(float, ts)])
 
 
 @pytest.mark.parametrize("eps", [0.05, 1.0], ids=["default", "wide-blends"])
 def test_rotation_kernels_match_loops_on_the_construction_plane(eps):
     profile = make_profile(ANGLE, eps)
     p, e1, e2 = profile.params, PLANE.e1, PLANE.e2
-    outside = 0
-    for x in _points(profile, seed=1):
-        outside += np.linalg.norm(x) >= profile.support_radius
-        theta = _ref_psi(_ref_radius(x), p, slope=False)  # h_apply's angle
-        assert _identical(
-            _kernels.rotate_in_plane(x, e1, e2, theta), _ref_rotate_in_plane(x, e1, e2, theta)
-        )
-        assert _identical(_kernels.h_jacobian(x, p, e1, e2), _ref_h_jacobian(x, p, e1, e2))
+    # The origin, and a row outside the support whose -0.0 entries an
+    # update by angle 0 would turn into +0.0.
+    far = np.full((1, DIM), -0.0)
+    far[0, 0] = 2.0 * profile.support_radius
+    x = np.concatenate([_points(profile, seed=1), np.zeros((1, DIM)), far])
+    outside = np.sum(np.linalg.norm(x, axis=1) >= profile.support_radius)
     assert 0 < outside < 200
-    zero = np.zeros(DIM)
-    assert _identical(_kernels.h_jacobian(zero, p, e1, e2), _ref_h_jacobian(zero, p, e1, e2))
+    image = _kernels.h_apply(x, p, e1, e2)
+    jac = _kernels.h_jacobian(x, p, e1, e2)
+    for k, xk in enumerate(x):
+        assert _identical(image[k], _ref_h_apply(xk, p, e1, e2))
+        assert _identical(jac[k], _ref_h_jacobian(xk, p, e1, e2))
 
 
 def test_inverse_rotation_reads_the_angle_as_the_forward_map_does():
@@ -191,11 +204,13 @@ def test_inverse_rotation_reads_the_angle_as_the_forward_map_does():
     profile = make_profile(ANGLE, 0.05)
     p, e1, e2 = profile.params, PLANE.e1, PLANE.e2
     rot = LocalRotationMap(profile=profile, plane=PLANE)
-    for y in _points(profile, seed=2, count=1000):
-        theta = _ref_psi(_ref_radius(y), p, slope=False)
-        expected = _ref_rotate_in_plane(y, e1, e2, -theta) if theta != 0.0 else y
-        assert _identical(_kernels.h_apply_inverse(y, p, e1, e2), expected)
-        assert _identical(rot.apply_inverse(y), expected)
+    y = _points(profile, seed=2, count=1000)
+    back = _kernels.h_apply_inverse(y, p, e1, e2)
+    back_map = rot.apply_inverse(y)
+    for k, yk in enumerate(y):
+        expected = _ref_h_apply(yk, p, e1, e2, sign=-1.0)
+        assert _identical(back[k], expected)
+        assert _identical(back_map[k], expected)
 
 
 @pytest.mark.parametrize("n", [1, 2])
