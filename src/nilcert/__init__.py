@@ -26,12 +26,9 @@ from .algebraic_core import (
 from .nilmanifold import (
     DIM,
     AutomorphismSpec,
-    GroupElement,
     LatticeSpec,
     bch_multiply,
     bracket,
-    group_inverse,
-    reduce_mod_lattice,
 )
 from .deformation import (
     BumpProfile,
@@ -90,12 +87,9 @@ __all__ = [
     # nilmanifold
     "DIM",
     "AutomorphismSpec",
-    "GroupElement",
     "LatticeSpec",
     "bch_multiply",
     "bracket",
-    "group_inverse",
-    "reduce_mod_lattice",
     # deformation
     "BumpProfile",
     "DeformationError",

@@ -362,7 +362,7 @@ class CocycleProduct:
 
     @property
     def matrix(self) -> np.ndarray:
-        out = np.eye(self.start.shape[0])
+        out = np.eye(self.start.shape[-1])
         for f in self.factors:
             out = f @ out
         return out
@@ -384,7 +384,9 @@ def cocycle_product(dyn, x: np.ndarray, n: int) -> CocycleProduct:
     """Derivative product of ``n`` steps of ``dyn`` starting at ``x``.
 
     ``dyn`` provides ``step_with_point`` and ``frame_jacobian``; the
-    factors are collected in orbit order.
+    factors are collected in orbit order.  ``x`` is one point (9,) or an
+    (N, 9) stack walked together, whose factors and ``matrix`` are
+    (N, 9, 9) stacks, each row bit-identical to walking that point alone.
     """
     if n < 0:
         raise ValueError("step count must be nonnegative")
@@ -424,22 +426,9 @@ class LinearDynamics:
         y = self.step(x)
         return y, y
 
-    def step_with_jacobian(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        y = self.step(x)
-        return y, self.frame_jacobian(y)
-
-    def step_inverse(self, x: np.ndarray) -> np.ndarray:
-        return self._reduce(self.auto.apply_inverse(x))
-
     def step_inverse_with_point(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x = self.step_inverse(y)
+        x = self._reduce(self.auto.apply_inverse(y))
         return x, x
-
-    def step_inverse_with_jacobian(
-        self, y: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        x = self.step_inverse(y)
-        return x, self.frame_jacobian(x)
 
 
 # ---------------------------------------------------------------------------
@@ -447,21 +436,24 @@ class LinearDynamics:
 # ---------------------------------------------------------------------------
 
 
-def principal_angle(q1: np.ndarray, q2: np.ndarray) -> float:
+def principal_angle(q1: np.ndarray, q2: np.ndarray) -> float | np.ndarray:
     """Largest principal angle between equal-dimension orthonormal frames.
 
     Computed from the sine ``|(I - Q1 Q1^T) Q2|_2``, which resolves
     angles near zero far better than the cosine route through
     ``svd(Q1^T Q2)``; the two directions are averaged into a max for
-    exact symmetry in floating point.
+    exact symmetry in floating point.  Stacks of frames (N, n, k), or a
+    stack and one frame (n, k), are compared pair by pair and give an
+    (N,) array, each angle bit-identical to comparing its pair alone.
     """
     q1 = np.asarray(q1, dtype=float)
     q2 = np.asarray(q2, dtype=float)
-    if q1.shape != q2.shape:
+    if q1.shape[-2:] != q2.shape[-2:]:
         raise ValueError("frames must have identical shapes")
-    s12 = min(1.0, float(np.linalg.norm(q2 - q1 @ (q1.T @ q2), 2)))
-    s21 = min(1.0, float(np.linalg.norm(q1 - q2 @ (q2.T @ q1), 2)))
-    return float(np.arcsin(max(s12, s21)))
+    s12 = np.linalg.norm(q2 - q1 @ (np.swapaxes(q1, -1, -2) @ q2), 2, axis=(-2, -1))
+    s21 = np.linalg.norm(q1 - q2 @ (np.swapaxes(q2, -1, -2) @ q1), 2, axis=(-2, -1))
+    angle = np.arcsin(np.minimum(1.0, np.maximum(s12, s21)))
+    return float(angle) if angle.ndim == 0 else angle
 
 
 def splitting_distance(
@@ -511,13 +503,14 @@ def _walk(step, x: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class SplittingEstimate:
-    """An extracted dominated splitting at a point.
+    """An extracted dominated splitting at a point, or at a stack of points.
 
     ``fast_frame`` spans the estimated more-expanded bundle (the
     forward-pushed limit), ``slow_frame`` the complementary bundle (the
-    pulled-back limit).  ``gap`` is the last Cauchy increment between
-    successive extraction depths; ``converged`` records whether it fell
-    below the requested tolerance within the step budget.
+    pulled-back limit); for an (N, 9) stack of points they are (N, 9, k)
+    stacks.  ``gap`` is the last Cauchy increment between successive
+    extraction depths, the largest over the stack; ``converged`` records
+    whether it fell below the requested tolerance within the step budget.
     """
 
     point: np.ndarray
@@ -526,10 +519,6 @@ class SplittingEstimate:
     steps_used: int
     gap: float
     converged: bool
-
-    @property
-    def dims(self) -> tuple[int, int]:
-        return (self.slow_frame.shape[1], self.fast_frame.shape[1])
 
 
 def extract_splitting(
@@ -549,12 +538,18 @@ def extract_splitting(
     slow bundle is the limit of pulling a complementary seed back along
     the forward orbit.  Extraction depth increases by ``k_step`` until
     the principal-angle increment between successive depths drops below
-    ``tol`` or the budget ``k_max`` is reached.  Each orbit is walked
-    once: a deeper round extends both walks by ``k_step`` steps.
+    ``tol`` or the budget ``k_max`` is reached; ``k_start = k_max`` runs
+    one round at that fixed depth.  Each orbit is walked once: a deeper
+    round extends both walks by ``k_step`` steps.
+
+    ``x`` is one point (9,) or an (N, 9) stack walked and transported
+    together; every row's frames are bit-identical to extracting that
+    point alone at the stack's depth, and the stack stops deepening only
+    when its largest increment drops below ``tol``.
     """
     x = np.asarray(x, dtype=float)
-    fast_seed = _axes_frame(fast_axes, x.shape[0])
-    slow_seed = _axes_frame(slow_axes, x.shape[0])
+    fast_seed = _axes_frame(fast_axes, x.shape[-1])
+    slow_seed = _axes_frame(slow_axes, x.shape[-1])
     prev_fast = prev_slow = None
     fast = slow = None
     gap = math.inf
@@ -570,9 +565,8 @@ def extract_splitting(
         fast = qr_product_forward(pb[::-1], dyn.frame_jacobian, fast_seed)
         slow = qr_product_pullback(pf, dyn.frame_jacobian, slow_seed)
         if prev_fast is not None:
-            gap = max(
-                principal_angle(fast, prev_fast),
-                principal_angle(slow, prev_slow),
+            gap = float(
+                np.max([principal_angle(fast, prev_fast), principal_angle(slow, prev_slow)])
             )
             if gap < tol:
                 return SplittingEstimate(
@@ -580,7 +574,7 @@ def extract_splitting(
                     fast_frame=fast,
                     slow_frame=slow,
                     steps_used=steps,
-                    gap=float(gap),
+                    gap=gap,
                     converged=True,
                 )
         prev_fast, prev_slow = fast, slow
@@ -590,7 +584,7 @@ def extract_splitting(
         fast_frame=fast,
         slow_frame=slow,
         steps_used=steps - k_step,
-        gap=float(gap),
+        gap=gap,
         converged=False,
     )
 
@@ -715,37 +709,38 @@ def bunching_report(
 ) -> RateReport:
     """Measure the four rate bullets and the bunching margin.
 
-    At every sample point the three bundles are extracted by cocycle
-    power iteration at fixed depth, the n-step derivative product is
-    formed, and its singular values restricted to each bundle are
-    aggregated into the worst observed stable/center/unstable growth.
-    ``rates`` supplies the eigenvalue triple entering the bounds, and
-    ``plane_axes`` the rotation plane (the plan's ``step.axes``) whose
-    in-plane rays are sampled.  All samples are walked and transported
-    together, as one (N, 9) batch.
+    At every sample point the three bundles are extracted by
+    :func:`extract_splitting` at the fixed depth ``extraction_steps``,
+    the n-step derivative product is taken from :func:`cocycle_product`,
+    and its singular values restricted to each bundle are aggregated into
+    the worst observed stable/center/unstable growth.  ``rates`` supplies
+    the eigenvalue triple entering the bounds, and ``plane_axes`` the
+    rotation plane (the plan's ``step.axes``) whose in-plane rays are
+    sampled.  All samples go through both calls as one (N, 9) stack.
     """
     l1, l2, l3 = rates
     rng = np.random.default_rng(seed)
     x = np.array(
         _rate_sample_points(rng, dyn, sample_count, inner_scale, outer_radius, plane_axes)
     )
-    # All samples are walked together; QR transport is column-nested (leading
-    # columns of a transported frame depend on the leading seed columns
-    # only), so unstable leads upper and stable leads lower.
-    upper_seed = _axes_frame(EXPANDING_AXES + CENTER_AXES)
-    lower_seed = _axes_frame(STRONG_STABLE_AXES + CENTER_AXES)
-    _, pb = _walk(dyn.step_inverse_with_point, x, extraction_steps)
-    _, pf = _walk(dyn.step_with_point, x, max(extraction_steps, n))
-    q_upper = qr_product_forward(pb[::-1], dyn.frame_jacobian, upper_seed)
-    q_lower = qr_product_pullback(pf[:extraction_steps], dyn.frame_jacobian, lower_seed)
+    # QR transport is column-nested (leading columns of a transported frame
+    # depend on the leading seed columns only), so one extraction gives the
+    # unstable bundle as the lead of the upper frame and the stable bundle
+    # as the lead of the lower one.
+    est = extract_splitting(
+        dyn,
+        x,
+        STRONG_STABLE_AXES + CENTER_AXES,
+        EXPANDING_AXES + CENTER_AXES,
+        k_start=extraction_steps,
+        k_max=extraction_steps,
+    )
+    q_upper, q_lower = est.fast_frame, est.slow_frame
     q_unstable = q_upper[..., : len(EXPANDING_AXES)]
     q_stable = q_lower[..., : len(STRONG_STABLE_AXES)]
     q_center = subspace_intersection(q_upper, q_lower, len(CENTER_AXES))
 
-    # The n-step derivatives, folded as CocycleProduct.matrix folds them.
-    t = np.eye(DIM)
-    for p in pf[:n]:
-        t = dyn.frame_jacobian(p) @ t
+    t = cocycle_product(dyn, x, n).matrix
     sv_s = np.linalg.svd(t @ q_stable, compute_uv=False)
     sv_c = np.linalg.svd(t @ q_center, compute_uv=False)
     sv_u = np.linalg.svd(t @ q_unstable, compute_uv=False)
@@ -822,10 +817,12 @@ def splitting_deviation_sweep(
 
     ``dynamics_for_radius`` maps a support radius to an orbit-capable
     system (radius 0 meaning the undeformed map).  For each radius the
-    unstable and stable bundles are extracted at every probe point (all
+    unstable and stable bundles are extracted at all probe points (each
     at distance ``probe_radius`` from the fixed point, outside every
-    support ball in the sweep) and compared against the undeformed
-    coordinate bundles; the sweep records the worst principal angle.
+    support ball in the sweep) by one stacked :func:`extract_splitting`
+    at the fixed depth ``extraction_steps``, and compared against the
+    undeformed coordinate bundles; the sweep records the worst principal
+    angle.
 
     The same seeded probe directions are used for every radius, so the
     sweep isolates the effect of the support radius alone.
@@ -837,16 +834,17 @@ def splitting_deviation_sweep(
 
     out = []
     for radius in radii:
-        # All probes are walked together.
-        dyn = dynamics_for_radius(radius)
-        _, pb = _walk(dyn.step_inverse_with_point, x, extraction_steps)
-        _, pf = _walk(dyn.step_with_point, x, extraction_steps)
-        q_u = qr_product_forward(pb[::-1], dyn.frame_jacobian, unstable_ref)
-        q_s = qr_product_pullback(pf, dyn.frame_jacobian, stable_ref)
+        est = extract_splitting(
+            dynamics_for_radius(radius),
+            x,
+            STRONG_STABLE_AXES,
+            EXPANDING_AXES,
+            k_start=extraction_steps,
+            k_max=extraction_steps,
+        )
         worst = max(
-            [0.0]
-            + [principal_angle(q, unstable_ref) for q in q_u]
-            + [principal_angle(q, stable_ref) for q in q_s]
+            principal_angle(est.fast_frame, unstable_ref).max(),
+            principal_angle(est.slow_frame, stable_ref).max(),
         )
         out.append(SweepPoint(radius=float(radius), deviation=float(worst), probes=len(x)))
     return tuple(out)

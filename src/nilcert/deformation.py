@@ -368,10 +368,9 @@ class DeformedMap:
     rotation support ball embeds in the quotient (its diameter is well
     below the shortest lattice displacement), so the reduced
     representative is the meaningful one.  Derivatives come only from
-    :meth:`step_with_jacobian` and :meth:`step_inverse_with_jacobian`,
-    or from :meth:`frame_jacobian` at the points that
-    :meth:`step_with_point` and :meth:`step_inverse_with_point` return:
-    the same reduced points as the steps they belong to.
+    :meth:`step_with_jacobian`, or from :meth:`frame_jacobian` at the
+    points that :meth:`step_with_point` and :meth:`step_inverse_with_point`
+    return: the same reduced points as the steps they belong to.
 
     Every stepping method takes one point (9,) or an (N, 9) array of
     points stepped together; each row's result is bit-identical to
@@ -477,14 +476,3 @@ class DeformedMap:
         As for :meth:`step_inverse_with_point`, ``y`` must be reduced.
         """
         return self.step_inverse_with_point(y)[0]
-
-    def step_inverse_with_jacobian(self, y) -> tuple[np.ndarray, np.ndarray]:
-        """Inverse step ``x = g^-1(y)`` with the forward derivative at ``x``.
-
-        Takes one point (9,) or (N, 9) points, which must be reduced (see
-        :meth:`step_inverse_with_point`); the derivative ``Dh(z) . B`` is
-        taken at the un-rotated point ``z``, exactly ``diag(B)`` for rows
-        outside the support ball.
-        """
-        x, z = self.step_inverse_with_point(y)
-        return x, self.frame_jacobian(z)

@@ -13,11 +13,12 @@ floating point rounding.
 
 The compact quotient is taken on the left: points of the manifold are
 orbits ``Gamma g``, deck transformations act by left translations, and
-:func:`reduce_mod_lattice` replaces a representative ``x`` by
+:meth:`LatticeSpec.reduce` replaces a representative ``x`` by
 ``gamma^{-1} x`` for a lattice element ``gamma`` chosen greedily to
 shrink the logarithmic norm.  Left-invariant vector fields descend to
 the quotient, which is why Jacobians of the dynamics are expressed in
-the left-invariant frame throughout (:func:`frame_derivative`).
+the left-invariant frame throughout: an automorphism's frame derivative
+is its diagonal matrix at every point.
 """
 
 from __future__ import annotations
@@ -33,14 +34,10 @@ from .algebraic_core import EigenData, poly_mulmod
 
 __all__ = [
     "DIM",
-    "GroupElement",
     "AutomorphismSpec",
     "LatticeSpec",
     "bracket",
     "bch_multiply",
-    "group_inverse",
-    "reduce_mod_lattice",
-    "frame_derivative",
 ]
 
 DIM = 9
@@ -52,8 +49,6 @@ Z_SLOTS = (2, 5, 8)
 
 
 def _as_vec(x) -> np.ndarray:
-    if isinstance(x, GroupElement):
-        x = x.log
     v = np.asarray(x, dtype=float)
     if v.shape != (DIM,):
         raise ValueError(f"expected a vector of length {DIM}, got shape {v.shape}")
@@ -88,35 +83,6 @@ def bch_multiply(u, v) -> np.ndarray:
     not a truncation error.
     """
     return _kernels.bch9(_as_vec(u), _as_vec(v))
-
-
-def group_inverse(u) -> np.ndarray:
-    """Logarithmic coordinates of the group inverse (plain negation)."""
-    return -_as_vec(u)
-
-
-@dataclass(frozen=True)
-class GroupElement:
-    """A group element in logarithmic coordinates."""
-
-    log: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "log", _as_vec(self.log))
-
-    def __mul__(self, other: "GroupElement") -> "GroupElement":
-        return GroupElement(bch_multiply(self.log, other.log))
-
-    def inverse(self) -> "GroupElement":
-        return GroupElement(-self.log)
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.log))
-
-    @staticmethod
-    def identity() -> "GroupElement":
-        return GroupElement(np.zeros(DIM))
 
 
 # ---------------------------------------------------------------------------
@@ -260,9 +226,6 @@ class LatticeSpec:
         res = float(np.max(np.abs(self.basis @ ci - _as_vec(v))))
         return ci, res
 
-    def contains(self, v, tol: float = 1e-9) -> bool:
-        return self.integer_coordinates(v)[1] <= tol
-
     def shortest_generator_norm(self) -> float:
         return float(np.min(np.linalg.norm(self.basis, axis=0)))
 
@@ -371,39 +334,3 @@ class LatticeSpec:
             best[better] = cur[better]
             best_n[better] = n[better]
         return best.reshape(x.shape)
-
-
-def reduce_mod_lattice(x, lattice: LatticeSpec):
-    """Reduce a point to a small representative of its left coset.
-
-    Accepts and returns the type of ``x`` (:class:`GroupElement`, a bare
-    logarithmic coordinate vector, or an (N, 9) stack of them).
-    """
-    if isinstance(x, GroupElement):
-        return GroupElement(lattice.reduce(x.log))
-    return lattice.reduce(x)
-
-
-# ---------------------------------------------------------------------------
-# Frame derivatives
-# ---------------------------------------------------------------------------
-
-
-def frame_derivative(mapping, x) -> np.ndarray:
-    """Derivative of a map in the left-invariant frame at ``x``.
-
-    Accepts either an :class:`AutomorphismSpec` (whose frame derivative
-    is its diagonal matrix at every point: automorphisms commute with
-    the adjoint action, so the left-invariant frame is mapped by the
-    same linear map everywhere) or any object exposing
-    ``jacobian_at(x)``, such as the deformed map built in
-    :mod:`nilcert.deformation`.
-    """
-    if isinstance(mapping, AutomorphismSpec):
-        return mapping.matrix
-    jac = getattr(mapping, "jacobian_at", None)
-    if jac is None:
-        raise TypeError(
-            f"cannot take a frame derivative of {type(mapping).__name__!r}"
-        )
-    return jac(_as_vec(x))

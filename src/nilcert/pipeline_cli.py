@@ -618,27 +618,19 @@ def _stage_rates(
 ) -> dict:
     """Four rate bullets, bunching margin, and the undeformed oracle check."""
     l1, l2, l3 = con.eig.values
-    deformed = bunching_report(
-        dyn,
-        (l1, l2, l3),
-        n=exponent,
-        eps_rate=config.rate_eps,
-        sample_count=config.sample_count,
-        inner_scale=config.inner_scale,
-        plane_axes=con.step.axes,
-        seed=config.seed,
-        extraction_steps=config.extraction_steps,
-    )
-    undeformed = bunching_report(
-        LinearDynamics(con.auto, con.lattice),
-        (l1, l2, l3),
-        n=exponent,
-        eps_rate=config.rate_eps,
-        sample_count=config.sample_count,
-        inner_scale=config.inner_scale,
-        plane_axes=con.step.axes,
-        seed=config.seed,
-        extraction_steps=config.extraction_steps,
+    deformed, undeformed = (
+        bunching_report(
+            d,
+            (l1, l2, l3),
+            n=exponent,
+            eps_rate=config.rate_eps,
+            sample_count=config.sample_count,
+            inner_scale=config.inner_scale,
+            plane_axes=con.step.axes,
+            seed=config.seed,
+            extraction_steps=config.extraction_steps,
+        )
+        for d in (dyn, LinearDynamics(con.auto, con.lattice))
     )
     nu_oracle = l1
     nu_hat_oracle = 1.0 / l3

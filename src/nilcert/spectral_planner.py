@@ -500,6 +500,11 @@ def plan_center_collapse(
                 )
         moduli[step.axes[0]], moduli[step.axes[1]] = step.target_pair
 
+    def final_moduli() -> tuple[float, ...]:
+        """The planned moduli on the labelled axes, ascending."""
+        labelled = eigs.stable + eigs.center + eigs.unstable
+        return tuple(sorted(moduli[a] for _, a in labelled))
+
     centers = sorted(eigs.center)  # ascending by modulus
     # Tie-breaks are fixed for determinism: among equal moduli the smallest
     # axis index is preferred.
@@ -522,9 +527,6 @@ def plan_center_collapse(
             axes=(ax_lo, ax_hi),
         )
         run_avoidance(step)
-        final = [v for v, _ in eigs.stable + eigs.unstable]
-        final += [v for v, a in centers if a not in (ax_lo, ax_hi)]
-        final += [1.0, prod]
         notes.append(
             "modulus-one branch: center pair "
             f"({c_lo:.6g}, {c_hi:.6g}) rotated to (1, {prod:.6g})"
@@ -534,7 +536,7 @@ def plan_center_collapse(
             mu=1.0,
             labels=eigs.counts,
             branch="modulus_one",
-            final_moduli=tuple(sorted(final)),
+            final_moduli=final_moduli(),
             avoidance=tuple(avoidance),
             notes=tuple(notes),
         )
@@ -570,10 +572,6 @@ def plan_center_collapse(
             axes=(c_axis, u_top_axis),
         )
         run_avoidance(step)
-        final = [v for v, _ in eigs.stable]
-        final += [v for v, a in centers if a != c_axis]
-        final += [v for v, a in unstable[:-1]]
-        final += [target_small, target_big]
         notes.append(
             f"single-step branch: pair ({c_val:.6g}, {u_top_val:.6g}) "
             f"rotated to ({target_small:.6g}, {target_big:.6g}); feasibility "
@@ -584,7 +582,7 @@ def plan_center_collapse(
             mu=target_small,
             labels=eigs.counts,
             branch="single_step",
-            final_moduli=tuple(sorted(final)),
+            final_moduli=final_moduli(),
             avoidance=tuple(avoidance),
             notes=tuple(notes),
         )
@@ -641,9 +639,6 @@ def plan_center_collapse(
             f"final accumulated modulus {acc:.6g} does not exceed "
             f"mu^m = {mu ** m_count:.6g}"
         )
-    final = [v for v, _ in eigs.stable]
-    final += [v for v, a in centers if a != c_axis]
-    final += [mu] * m_count + [acc]
     notes.append(
         f"chain branch: mu = {mu:.6g} (geometric midpoint of (1, {upper:.6g})), "
         f"{m_count} steps, final accumulator {acc:.6g} > mu^m = {mu**m_count:.6g}"
@@ -653,7 +648,7 @@ def plan_center_collapse(
         mu=mu,
         labels=eigs.counts,
         branch="chain",
-        final_moduli=tuple(sorted(final)),
+        final_moduli=final_moduli(),
         avoidance=tuple(avoidance),
         notes=tuple(notes),
     )

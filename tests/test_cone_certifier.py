@@ -194,7 +194,7 @@ def test_extracted_splitting_converges_and_is_invariant(deformed):
         fast_axes=tuple(CENTER_AXES) + tuple(EXPANDING_AXES),
     )
     assert est.converged
-    assert est.dims == (4, 5)
+    assert (est.slow_frame.shape, est.fast_frame.shape) == ((DIM, 4), (DIM, 5))
     assert est.gap < 1e-10
     # Derivative invariance: Dg(x) E(x) = E(g x) as subspaces.
     nxt, jac = deformed.step_with_jacobian(x)
@@ -208,19 +208,101 @@ def test_extracted_splitting_converges_and_is_invariant(deformed):
     assert principal_angle(pushed, est_next.fast_frame) < 1e-8
 
 
+def _stack_points(deformed, count=6, seed=9):
+    """Points from deep inside to outside the support ball, one per row."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(count, DIM))
+    radii = deformed.rotation.support_radius * np.geomspace(1e-12, 20.0, count)
+    return x * (radii / np.linalg.norm(x, axis=1))[:, None]
+
+
+def _same(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_stacked_extraction_matches_points_extracted_alone(deformed):
+    x = _stack_points(deformed)
+    axes = dict(slow_axes=STRONG_STABLE_AXES + CENTER_AXES, fast_axes=EXPANDING_AXES)
+    # One round at a fixed depth.
+    est = extract_splitting(deformed, x, **axes, k_start=60, k_max=60)
+    assert est.fast_frame.shape == (6, DIM, 3) and est.slow_frame.shape == (6, DIM, 6)
+    assert (est.steps_used, est.gap, est.converged) == (60, math.inf, False)
+    for i, xi in enumerate(x):
+        alone = extract_splitting(deformed, xi, **axes, k_start=60, k_max=60)
+        assert _same(est.fast_frame[i], alone.fast_frame)
+        assert _same(est.slow_frame[i], alone.slow_frame)
+    # Deepening until the largest increment over the stack is below tol.
+    # The points alone converge at different depths; the stack stops at
+    # the deepest, every row equals its point extracted alone at that
+    # depth, and the stack's gap is the largest of the points' gaps there.
+    schedule = dict(k_start=2, k_step=1, tol=1e-10)
+    est = extract_splitting(deformed, x, **axes, **schedule)
+    assert est.converged and est.gap < 1e-10
+    depths = [extract_splitting(deformed, xi, **axes, **schedule).steps_used for xi in x]
+    assert len(set(depths)) > 1 and est.steps_used == max(depths)
+    gaps = []
+    for i, xi in enumerate(x):
+        alone = extract_splitting(
+            deformed, xi, **axes, k_start=est.steps_used - 1, k_max=est.steps_used,
+            k_step=1, tol=0.0,
+        )
+        assert alone.steps_used == est.steps_used
+        assert _same(est.fast_frame[i], alone.fast_frame)
+        assert _same(est.slow_frame[i], alone.slow_frame)
+        gaps.append(alone.gap)
+    assert est.gap == max(gaps) > 0.0
+
+
+@pytest.mark.parametrize("deformed_map", [True, False])
+def test_stacked_cocycle_product_matches_single_points(
+    deformed, auto, lattice, deformed_map
+):
+    dyn = deformed if deformed_map else LinearDynamics(auto, lattice)
+    x = _stack_points(deformed)
+    prod = cocycle_product(dyn, x, 4)
+    assert prod.matrix.shape == (6, DIM, DIM) and prod.steps == 4
+    for i, xi in enumerate(x):
+        alone = cocycle_product(dyn, xi, 4)
+        assert _same(prod.matrix[i], alone.matrix)
+        assert _same(prod.end[i], alone.end)
+        for f, g in zip(prod.factors, alone.factors):
+            assert _same(f[i], g)
+
+
+def test_stacked_principal_angle_matches_pairs():
+    rng = np.random.default_rng(11)
+    for k in (1, 2, 3, 4, 5):
+        q1 = np.linalg.qr(rng.normal(size=(200, DIM, k)))[0]
+        q2 = np.linalg.qr(rng.normal(size=(200, DIM, k)))[0]
+        # Near-equal frames: tiny perturbations, re-orthonormalized.
+        scale = np.geomspace(1e-16, 1e-3, 200)[:, None, None]
+        q3 = np.linalg.qr(q1 + scale * rng.normal(size=q1.shape))[0]
+        for a, b in ((q1, q2), (q1, q3), (q3, q1), (q1, q1)):
+            angles = principal_angle(a, b)
+            assert angles.shape == (200,)
+            for i in range(200):
+                assert angles[i] == principal_angle(a[i], b[i])
+        # One frame against a stack.
+        angles = principal_angle(q1, q2[0])
+        assert all(angles[i] == principal_angle(q1[i], q2[0]) for i in range(200))
+    with pytest.raises(ValueError):
+        principal_angle(q1, q2[..., :2])
+
+
 def test_linear_dynamics_matches_automorphism(auto, lattice):
     lin = LinearDynamics(auto, lattice)
     x = np.full(DIM, 0.003)
     stepped = lin.step(x)
     assert np.allclose(stepped, lattice.reduce(auto.apply(x)), atol=0)
-    nxt, jac = lin.step_with_jacobian(x)
-    assert np.array_equal(jac, auto.matrix)
+    nxt, p = lin.step_with_point(x)
+    assert np.array_equal(nxt, stepped) and np.array_equal(p, nxt)
+    assert np.array_equal(lin.frame_jacobian(p), auto.matrix)
     end = cocycle_product(lin, x, 3).end
     assert end.shape == (DIM,)
     assert np.array_equal(end, lin.step(lin.step(nxt)))
-    back, jac = lin.step_inverse_with_jacobian(nxt)
-    assert np.array_equal(back, lin.step_inverse(nxt))
-    assert np.array_equal(jac, auto.matrix)
+    back, p = lin.step_inverse_with_point(nxt)
+    assert np.array_equal(back, lattice.reduce(auto.apply_inverse(nxt)))
+    assert np.array_equal(lin.frame_jacobian(p), auto.matrix)
 
 
 def test_rates_transport_two_nested_frames_per_sample(
@@ -288,12 +370,12 @@ def _alone(dyn, x, steps, seed_b, seed_f, n=0):
     back, fwd = [], []
     y = x
     for _ in range(steps):
-        y, jac = dyn.step_inverse_with_jacobian(y)
-        back.append(jac)
+        y, p = dyn.step_inverse_with_point(y)
+        back.append(dyn.frame_jacobian(p))
     y = x
     for _ in range(max(steps, n)):
-        y, jac = dyn.step_with_jacobian(y)
-        fwd.append(jac)
+        y, p = dyn.step_with_point(y)
+        fwd.append(dyn.frame_jacobian(p))
     q_b = seed_b.copy()
     for jac in back[::-1]:
         q_b = _qr_pos(jac @ q_b)

@@ -7,16 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from nilcert.cone_certifier import LinearDynamics
 from nilcert.nilmanifold import (
     DIM,
     AutomorphismSpec,
-    GroupElement,
     LatticeSpec,
     bch_multiply,
     bracket,
-    frame_derivative,
-    group_inverse,
-    reduce_mod_lattice,
 )
 
 coord = st.floats(
@@ -58,18 +55,10 @@ def test_group_law_associative(u, v, w):
 
 @given(vec9)
 def test_group_inverse_and_identity(u):
-    assert np.max(np.abs(bch_multiply(u, group_inverse(u)))) < 1e-12
+    # The group inverse in logarithmic coordinates is plain negation.
+    assert np.max(np.abs(bch_multiply(u, -u))) < 1e-12
     assert np.array_equal(bch_multiply(u, np.zeros(DIM)), u)
     assert np.array_equal(bch_multiply(np.zeros(DIM), u), u)
-
-
-def test_group_element_wrapper():
-    g = GroupElement(np.arange(DIM, dtype=float) / 10.0)
-    h = GroupElement(np.ones(DIM) / 7.0)
-    prod = g * h
-    assert isinstance(prod, GroupElement)
-    assert np.allclose(prod.log, bch_multiply(g.log, h.log))
-    assert np.max(np.abs((g * g.inverse()).log)) < 1e-14
 
 
 def test_automorphism_diagonal_and_grading(eigendata, auto):
@@ -98,7 +87,8 @@ def test_automorphism_volume_and_frame_derivative(auto):
     mat = auto.matrix
     assert np.allclose(np.diag(np.diag(mat)), mat)
     assert abs(np.prod(auto.diag) - 1.0) < 1e-12
-    assert np.array_equal(frame_derivative(auto, np.ones(DIM)), mat)
+    # The automorphism's frame derivative is its matrix at every point.
+    assert np.array_equal(LinearDynamics(auto).frame_jacobian(np.ones(DIM)), mat)
     lo, hi = auto.expansion_bounds()
     assert lo == min(abs(d) for d in auto.diag)
     assert hi == max(abs(d) for d in auto.diag)
@@ -131,27 +121,20 @@ def test_reduce_mod_lattice_shrinks_and_stays_in_coset(lattice):
     gen = lattice.basis
     for _ in range(25):
         x = rng.normal(size=DIM) * 3.0
-        red = reduce_mod_lattice(x, lattice)
+        red = lattice.reduce(x)
         assert np.linalg.norm(red) <= np.linalg.norm(x) + 1e-12
         # red = gamma^{-1} * x for a lattice element gamma, so
         # gamma = x * red^{-1}; check it is (near-)integral in the
         # generator coordinates.
-        gamma = bch_multiply(x, group_inverse(red))
+        gamma = bch_multiply(x, -red)
         coords = np.linalg.solve(gen, gamma)
         assert np.max(np.abs(coords - np.round(coords))) < 1e-6
-
-
-def test_reduce_mod_lattice_accepts_group_elements(lattice):
-    g = GroupElement(np.full(DIM, 2.2))
-    red = reduce_mod_lattice(g, lattice)
-    assert isinstance(red, GroupElement)
-    assert np.linalg.norm(red.log) <= np.linalg.norm(g.log)
 
 
 def test_reduce_fixed_points_near_origin(lattice):
     # Small representatives are already reduced.
     x = np.full(DIM, 0.01)
-    assert np.array_equal(reduce_mod_lattice(x, lattice), x)
+    assert np.array_equal(lattice.reduce(x), x)
 
 
 def test_lattice_generators_shape_and_rank(lattice):

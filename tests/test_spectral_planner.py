@@ -75,11 +75,38 @@ def test_planned_angle_matches_trace_equation(plan, eigendata):
     )
 
 
+def _chain_spectrum():
+    stable = tuple((0.9 * 1.1 * 1.25) ** (-1.0 / 6.0) for _ in range(6))
+    return LabeledSpectrum(
+        stable=tuple((s, i) for i, s in enumerate(stable)),
+        center=((0.9, 6),),
+        unstable=((1.1, 7), (1.25, 8)),
+    )
+
+
+def _modulus_one_spectrum():
+    # A center pair straddling one; the stable values are rescaled so the
+    # total product is one.
+    total = 0.5 * 0.5 * 0.9 * 1.1111111111111112 * 4.0
+    scale = total ** (-1.0 / 2.0)
+    return LabeledSpectrum(
+        stable=((0.5 * scale, 0), (0.5 * scale, 1)),
+        center=((0.9, 2), (1.1111111111111112, 3)),
+        unstable=((2.0, 4), (2.0, 5)),
+    )
+
+
 def test_plan_eigenvalue_bookkeeping_is_exact(plan, auto):
-    final = apply_plan(np.diag(auto.diag), plan)
-    expected = sorted(plan.final_moduli)
-    actual = sorted(float(abs(v)) for v in np.linalg.eigvals(final))
-    assert actual == pytest.approx(expected, rel=1e-8)
+    cases = [(np.diag(auto.diag), plan)]
+    for eigs, dim in ((_chain_spectrum(), 9), (_modulus_one_spectrum(), 6)):
+        other = plan_center_collapse(eigs, s=0.05, annuli=(), dim=dim)
+        cases.append((eigs.diagonal_matrix(dim), other))
+    assert [p.branch for _, p in cases] == ["single_step", "chain", "modulus_one"]
+    for diagonal, p in cases:
+        final = apply_plan(diagonal, p)
+        expected = sorted(p.final_moduli)
+        actual = sorted(float(abs(v)) for v in np.linalg.eigvals(final))
+        assert actual == pytest.approx(expected, rel=1e-8)
 
 
 def test_plan_preserves_volume(plan, auto):
@@ -120,14 +147,7 @@ def test_solve_plane_rotation_angle_reaches_monotone_targets():
 
 
 def test_chain_branch_feasible_example():
-    stable = tuple(
-        (0.9 * 1.1 * 1.25) ** (-1.0 / 6.0) for _ in range(6)
-    )
-    eigs = LabeledSpectrum(
-        stable=tuple((s, i) for i, s in enumerate(stable)),
-        center=((0.9, 6),),
-        unstable=((1.1, 7), (1.25, 8)),
-    )
+    eigs = _chain_spectrum()
     plan = plan_center_collapse(eigs, s=0.05, annuli=(), dim=9)
     assert plan.branch == "chain"
     assert len(plan.steps) == 2
@@ -151,16 +171,8 @@ def test_chain_branch_infeasible_reports_step():
 
 
 def test_modulus_one_branch():
-    # A center pair straddling one collapses onto modulus exactly one;
-    # the stable values are rescaled so the total product is one.
-    total = 0.5 * 0.5 * 0.9 * 1.1111111111111112 * 4.0
-    scale = total ** (-1.0 / 2.0)
-    eigs = LabeledSpectrum(
-        stable=((0.5 * scale, 0), (0.5 * scale, 1)),
-        center=((0.9, 2), (1.1111111111111112, 3)),
-        unstable=((2.0, 4), (2.0, 5)),
-    )
-    plan = plan_center_collapse(eigs, s=0.05, annuli=(), dim=6)
+    # A center pair straddling one collapses onto modulus exactly one.
+    plan = plan_center_collapse(_modulus_one_spectrum(), s=0.05, annuli=(), dim=6)
     assert plan.branch == "modulus_one"
     assert plan.mu == 1.0
 
@@ -308,12 +320,7 @@ def test_batched_avoidance_matches_reference_on_chain_plan():
     the accumulated float matrix, which is nearly defective near the end of
     the second step, so only ``ok`` and the one-sided margin bound are
     compared.  Every step certifies."""
-    stable = tuple((0.9 * 1.1 * 1.25) ** (-1.0 / 6.0) for _ in range(6))
-    eigs = LabeledSpectrum(
-        stable=tuple((s, i) for i, s in enumerate(stable)),
-        center=((0.9, 6),),
-        unstable=((1.1, 7), (1.25, 8)),
-    )
+    eigs = _chain_spectrum()
     annuli = (AnnulusSpec(0.5, 0.8), AnnulusSpec(1.5, 2.0))
     plan = plan_center_collapse(eigs, s=0.05, annuli=annuli, grid=256, dim=9)
     assert plan.branch == "chain" and len(plan.avoidance) == 4
