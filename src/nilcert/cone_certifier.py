@@ -431,6 +431,48 @@ class LinearDynamics:
         return x, x
 
 
+class _StackedMaps:
+    """Maps sharing one automorphism and one lattice, stepped as one stack.
+
+    Map ``i`` owns the ``counts[i]`` rows after those of the maps before
+    it.  A step makes one automorphism call and one lattice reduction on
+    all rows; each map's own rotation, if it has one (``LinearDynamics``
+    has none), then acts on its block.  Every block's points and frame
+    Jacobians are bit-identical to stepping its rows with its own map.
+    """
+
+    def __init__(self, maps: Sequence, counts: Sequence[int]):
+        self.auto, self.lattice = maps[0].auto, maps[0].lattice
+        if any(m.auto is not self.auto or m.lattice is not self.lattice for m in maps):
+            raise ValueError("stacked maps must share one automorphism and one lattice")
+        ends = np.cumsum(counts)
+        self._blocks = [(m, slice(e - c, e)) for m, e, c in zip(maps, ends, counts, strict=True)]
+        self._rotated = [(m.rotation, b) for m, b in self._blocks if hasattr(m, "rotation")]
+        self._plain = [b for m, b in self._blocks if not hasattr(m, "rotation")]
+
+    def _reduce(self, x: np.ndarray) -> np.ndarray:
+        return x if self.lattice is None else self.lattice.reduce(x)
+
+    def frame_jacobian(self, p: np.ndarray) -> np.ndarray:
+        return np.concatenate([m.frame_jacobian(p[b]) for m, b in self._blocks])
+
+    def step_with_point(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        y = self._reduce(self.auto.apply(x))
+        out = y.copy()
+        for rotation, b in self._rotated:
+            out[b] = rotation.apply(y[b])
+        return out, y
+
+    def step_inverse_with_point(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        z = y.copy()
+        for rotation, b in self._rotated:
+            z[b] = rotation.apply_inverse(y[b])
+        x = self._reduce(self.auto.apply_inverse(z))
+        for b in self._plain:  # a map without rotation takes its Jacobian at x
+            z[b] = x[b]
+        return x, z
+
+
 # ---------------------------------------------------------------------------
 # Principal angles and subspace arithmetic
 # ---------------------------------------------------------------------------
@@ -540,7 +582,9 @@ def extract_splitting(
     the principal-angle increment between successive depths drops below
     ``tol`` or the budget ``k_max`` is reached; ``k_start = k_max`` runs
     one round at that fixed depth.  Each orbit is walked once: a deeper
-    round extends both walks by ``k_step`` steps.
+    round extends both walks by ``k_step`` steps.  The fast frames are
+    transported before the forward walk is taken, and the last round
+    releases the backward walk first, so one walk is held at a time.
 
     ``x`` is one point (9,) or an (N, 9) stack walked and transported
     together; every row's frames are bit-identical to extracting that
@@ -559,10 +603,12 @@ def extract_splitting(
     pb = pf = np.empty((0,) + x.shape)
     while steps <= k_max:
         yb, more = _walk(dyn.step_inverse_with_point, yb, steps - len(pb))
-        pb = np.concatenate([pb, more])
-        yf, more = _walk(dyn.step_with_point, yf, steps - len(pf))
-        pf = np.concatenate([pf, more])
+        pb = np.concatenate([pb, more]) if len(pb) else more
         fast = qr_product_forward(pb[::-1], dyn.frame_jacobian, fast_seed)
+        if steps + k_step > k_max:
+            pb = more = None  # the last round: no deeper walk needs it
+        yf, more = _walk(dyn.step_with_point, yf, steps - len(pf))
+        pf = np.concatenate([pf, more]) if len(pf) else more
         slow = qr_product_pullback(pf, dyn.frame_jacobian, slow_seed)
         if prev_fast is not None:
             gap = float(
@@ -816,35 +862,39 @@ def splitting_deviation_sweep(
     """Worst probe-set deviation of the extracted splitting per radius.
 
     ``dynamics_for_radius`` maps a support radius to an orbit-capable
-    system (radius 0 meaning the undeformed map).  For each radius the
-    unstable and stable bundles are extracted at all probe points (each
-    at distance ``probe_radius`` from the fixed point, outside every
-    support ball in the sweep) by one stacked :func:`extract_splitting`
-    at the fixed depth ``extraction_steps``, and compared against the
-    undeformed coordinate bundles; the sweep records the worst principal
-    angle.
+    system (radius 0 meaning the undeformed map); the systems are built
+    first, in radius order, and must share one automorphism and one
+    lattice.  The unstable and stable bundles are extracted at all probe
+    points (each at distance ``probe_radius`` from the fixed point,
+    outside every support ball in the sweep) of all radii by one
+    :func:`extract_splitting` at the fixed depth ``extraction_steps``,
+    which walks every radius's probes as one stack, with one lattice
+    reduction per step.  The frames are compared against the undeformed
+    coordinate bundles; the sweep records the worst principal angle per
+    radius.
 
     The same seeded probe directions are used for every radius, so the
     sweep isolates the effect of the support radius alone.
     """
     rng = np.random.default_rng(seed)
     x = probe_radius * np.array(_probe_directions(rng, probe_count))
-    unstable_ref = _axes_frame(EXPANDING_AXES)
-    stable_ref = _axes_frame(STRONG_STABLE_AXES)
-
-    out = []
-    for radius in radii:
-        est = extract_splitting(
-            dynamics_for_radius(radius),
-            x,
-            STRONG_STABLE_AXES,
-            EXPANDING_AXES,
-            k_start=extraction_steps,
-            k_max=extraction_steps,
-        )
-        worst = max(
-            principal_angle(est.fast_frame, unstable_ref).max(),
-            principal_angle(est.slow_frame, stable_ref).max(),
-        )
-        out.append(SweepPoint(radius=float(radius), deviation=float(worst), probes=len(x)))
-    return tuple(out)
+    if not len(radii):
+        return ()
+    maps = [dynamics_for_radius(radius) for radius in radii]
+    est = extract_splitting(
+        _StackedMaps(maps, [len(x)] * len(maps)),
+        np.tile(x, (len(maps), 1)),
+        STRONG_STABLE_AXES,
+        EXPANDING_AXES,
+        k_start=extraction_steps,
+        k_max=extraction_steps,
+    )
+    angles = np.maximum(
+        principal_angle(est.fast_frame, _axes_frame(EXPANDING_AXES)),
+        principal_angle(est.slow_frame, _axes_frame(STRONG_STABLE_AXES)),
+    )
+    worst = angles.reshape(len(maps), len(x)).max(axis=1)
+    return tuple(
+        SweepPoint(radius=float(radius), deviation=float(w), probes=len(x))
+        for radius, w in zip(radii, worst)
+    )

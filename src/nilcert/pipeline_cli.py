@@ -931,6 +931,27 @@ def _print_certification_diagnostics(frag: dict) -> None:
               f"{rob['fallbacks']} Cholesky fallbacks")
 
 
+def _print_rates_diagnostics(frag: dict) -> None:
+    bunching = frag.get("bunching", {})
+    if "margin" in bunching:
+        print(f"    bunching margin {bunching['margin']:.6g} "
+              f"(nu {bunching['nu']:.6g}, nu_hat {bunching['nu_hat']:.6g})")
+
+
+def _print_sweep_diagnostics(frag: dict) -> None:
+    for p in frag.get("points", []):
+        print(f"    support_scale {p['support_scale']:.6e} -> deviation {p['deviation']:.6e}")
+    if "strictly_decreasing" in frag:
+        print(f"    strictly decreasing: {frag['strictly_decreasing']}")
+
+
+_STAGE_DIAGNOSTICS = {
+    "certification": _print_certification_diagnostics,
+    "rates": _print_rates_diagnostics,
+    "sweep": _print_sweep_diagnostics,
+}
+
+
 def cmd_report(config: PipelineConfig) -> int:
     """Pretty-print a previously written report from the output directory."""
     path = Path(config.out_dir) / "report.json"
@@ -951,8 +972,8 @@ def cmd_report(config: PipelineConfig) -> int:
         print(f"  {name}: {status}")
         if frag.get("error"):
             print(f"    error: {frag['error']}")
-        if name == "certification":
-            _print_certification_diagnostics(frag)
+        if name in _STAGE_DIAGNOSTICS:
+            _STAGE_DIAGNOSTICS[name](frag)
     print(f"verdict: {report.get('verdict')}")
     return EXIT_PASS
 

@@ -27,7 +27,8 @@ from nilcert.cone_certifier import (
     subspace_intersection,
 )
 from nilcert.deformation import DeformedMap, LocalRotationMap, RotationPlane, make_profile
-from nilcert.nilmanifold import DIM
+from nilcert.nilmanifold import DIM, AutomorphismSpec, LatticeSpec
+from nilcert.pipeline_cli import PipelineConfig
 
 
 def test_domination_exponent_for_default_construction(
@@ -398,7 +399,7 @@ def _sweep_dynamics(auto, lattice, plan):
 
 
 def test_batched_sweep_matches_points_walked_alone(auto, lattice, plan):
-    radii = (0.05, 6.25e-3, 0.0)
+    radii = PipelineConfig().sweep_supports + (0.0,)
     dynamics_for = _sweep_dynamics(auto, lattice, plan)
     sweep = splitting_deviation_sweep(
         dynamics_for, radii, probe_count=6, seed=2, extraction_steps=90
@@ -415,6 +416,56 @@ def test_batched_sweep_matches_points_walked_alone(auto, lattice, plan):
         assert (point.radius, point.probes) == (radius, 6)
         assert point.deviation == worst
     assert sweep[0].deviation > 0.0 and sweep[-1].deviation == 0.0
+
+
+@pytest.mark.parametrize("with_lattice", [True, False])
+def test_stacked_maps_step_each_block_as_its_own_map(auto, lattice, plan, with_lattice):
+    lat = lattice if with_lattice else None
+    step = plan.steps[-1]
+    wide, narrow = (
+        DeformedMap(
+            auto=auto,
+            rotation=LocalRotationMap(make_profile(step.angle, eps), step.plane),
+            lattice=lat,
+        )
+        for eps in (0.05, 1e-4)
+    )
+    # Blocks of unequal size, an empty one, and an undeformed one; the
+    # deformed blocks have rows inside and outside their support balls.
+    maps = (wide, LinearDynamics(auto, lat), wide, narrow)
+    counts = (5, 3, 0, 2)
+    x = np.concatenate(
+        [_stack_points(wide, 5), _stack_points(wide, 3, seed=10), _stack_points(narrow, 2)]
+    )
+    for m, rows in ((wide, x[:5]), (narrow, x[8:])):
+        radii = np.linalg.norm(rows, axis=1)
+        assert radii.min() < m.rotation.support_radius < radii.max()
+    stack = cc._StackedMaps(maps, counts)
+    ends = np.cumsum(counts)
+    blocks = [slice(e - c, e) for e, c in zip(ends, counts)]
+    for name in ("step_with_point", "step_inverse_with_point"):
+        y, alone = x, [x[b] for b in blocks]
+        for _ in range(4):
+            y, p = getattr(stack, name)(y)
+            jac = stack.frame_jacobian(p)
+            assert y.shape == p.shape == x.shape and jac.shape == x.shape + (DIM,)
+            for i, (m, b) in enumerate(zip(maps, blocks)):
+                alone[i], q = getattr(m, name)(alone[i])
+                assert _same(y[b], alone[i]) and _same(p[b], q)
+                assert _same(jac[b], m.frame_jacobian(q))
+
+
+def test_stacked_maps_require_one_automorphism_and_one_lattice(auto, lattice, eigendata):
+    lin = LinearDynamics(auto, lattice)
+    for other in (
+        LinearDynamics(AutomorphismSpec.from_eigendata(eigendata), lattice),
+        LinearDynamics(auto, LatticeSpec.from_eigendata(eigendata)),
+        LinearDynamics(auto),
+    ):
+        with pytest.raises(ValueError):
+            cc._StackedMaps((lin, other), (1, 1))
+    with pytest.raises(ValueError):
+        cc._StackedMaps((lin, lin), (1,))
 
 
 @pytest.mark.parametrize("deformed_map", [True, False])

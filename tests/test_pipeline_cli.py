@@ -363,6 +363,24 @@ def test_report_command_pretty_prints(tmp_path, capsys):
     assert "Monte Carlo: 0 failures in 100 trials, 0 Cholesky fallbacks" in stdout
 
 
+def test_report_command_prints_rates_and_sweep_diagnostics(tmp_path, capsys):
+    (tmp_path / "report.json").write_text(GOLDEN.read_text())
+    assert main(["report", "--out", str(tmp_path)]) == EXIT_PASS
+    lines = capsys.readouterr().out.splitlines()
+    rates = lines.index("  rates: pass")
+    assert lines[rates + 1] == "    bunching margin 0.302237 (nu 0.283119, nu_hat 0.120631)"
+    sweep = lines.index("  sweep: pass")
+    assert lines[sweep + 1 : sweep + 8] == [
+        "    support_scale 5.000000e-02 -> deviation 6.430315e-04",
+        "    support_scale 6.250000e-03 -> deviation 7.144333e-05",
+        "    support_scale 7.812500e-04 -> deviation 7.477899e-08",
+        "    support_scale 9.765625e-05 -> deviation 5.826197e-11",
+        "    support_scale 1.220703e-05 -> deviation 4.516434e-14",
+        "    support_scale 0.000000e+00 -> deviation 0.000000e+00",
+        "    strictly decreasing: True",
+    ]
+
+
 def test_report_command_missing_file(tmp_path, capsys):
     assert main(["report", "--out", str(tmp_path)]) == EXIT_INVALID_INPUT
 
@@ -468,4 +486,24 @@ def test_plan_fuzzed_configs_never_exit_internal_error(data):
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(data))
         code = main(["plan", "--config", str(path)])
+    assert code in (EXIT_PASS, EXIT_INVALID_INPUT, EXIT_CERTIFICATION_FAILURE)
+
+
+# Negative, small, boundary (the grid's floor is 100) and very large flags.
+_FLAG_INTS = st.one_of(
+    st.integers(-(10**6), -1),
+    st.integers(0, 200),
+    st.sampled_from([99, 100]),
+    st.integers(10**9, 10**40),
+)
+
+
+@example(command="plan", seed=0, grid=99)
+@example(command="plan", seed=10**40, grid=10**40)
+@example(command="verify-matrix", seed=-1, grid=100)
+@settings(deadline=None)
+@given(command=st.sampled_from(["verify-matrix", "plan"]), seed=_FLAG_INTS, grid=_FLAG_INTS)
+def test_fuzzed_seed_and_grid_flags_never_exit_internal_error(command, seed, grid):
+    with tempfile.TemporaryDirectory() as tmp:
+        code = main([command, "--seed", str(seed), "--grid", str(grid), "--out", tmp])
     assert code in (EXIT_PASS, EXIT_INVALID_INPUT, EXIT_CERTIFICATION_FAILURE)
