@@ -60,6 +60,7 @@ __all__ = [
     "splitting_distance",
     "subspace_intersection",
     "SplittingEstimate",
+    "ExtractionStats",
     "extract_splitting",
     "RateReport",
     "bunching_report",
@@ -427,8 +428,8 @@ class LinearDynamics:
         return y, y
 
     def step_inverse_with_point(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x = self._reduce(self.auto.apply_inverse(y))
-        return x, x
+        """``(x, y)``: the deformed map's ``(x, z)`` with the identity rotation."""
+        return self._reduce(self.auto.apply_inverse(y)), y
 
 
 class _StackedMaps:
@@ -448,7 +449,6 @@ class _StackedMaps:
         ends = np.cumsum(counts)
         self._blocks = [(m, slice(e - c, e)) for m, e, c in zip(maps, ends, counts, strict=True)]
         self._rotated = [(m.rotation, b) for m, b in self._blocks if hasattr(m, "rotation")]
-        self._plain = [b for m, b in self._blocks if not hasattr(m, "rotation")]
 
     def _reduce(self, x: np.ndarray) -> np.ndarray:
         return x if self.lattice is None else self.lattice.reduce(x)
@@ -467,10 +467,7 @@ class _StackedMaps:
         z = y.copy()
         for rotation, b in self._rotated:
             z[b] = rotation.apply_inverse(y[b])
-        x = self._reduce(self.auto.apply_inverse(z))
-        for b in self._plain:  # a map without rotation takes its Jacobian at x
-            z[b] = x[b]
-        return x, z
+        return self._reduce(self.auto.apply_inverse(z)), z
 
 
 # ---------------------------------------------------------------------------
@@ -543,6 +540,16 @@ def _walk(step, x: np.ndarray, steps: int) -> tuple[np.ndarray, np.ndarray]:
     return x, points
 
 
+@dataclass(frozen=True)
+class ExtractionStats:
+    """How deep one :func:`extract_splitting` call walked, its last Cauchy
+    gap, and whether that gap fell below the tolerance."""
+
+    steps_used: int
+    gap: float
+    converged: bool
+
+
 @dataclass(frozen=True, eq=False)
 class SplittingEstimate:
     """An extracted dominated splitting at a point, or at a stack of points.
@@ -555,12 +562,15 @@ class SplittingEstimate:
     whether it fell below the requested tolerance within the step budget.
     """
 
-    point: np.ndarray
     fast_frame: np.ndarray
     slow_frame: np.ndarray
     steps_used: int
     gap: float
     converged: bool
+
+    @property
+    def stats(self) -> ExtractionStats:
+        return ExtractionStats(self.steps_used, self.gap, self.converged)
 
 
 def extract_splitting(
@@ -568,10 +578,10 @@ def extract_splitting(
     x: np.ndarray,
     slow_axes: Sequence[int],
     fast_axes: Sequence[int],
-    k_start: int = 40,
-    k_step: int = 20,
+    k_start: int = 15,
+    k_step: int = 15,
     k_max: int = 200,
-    tol: float = 1e-10,
+    tol: float = 1e-12,
 ) -> SplittingEstimate:
     """Extract a dominated splitting at ``x`` by cocycle power iteration.
 
@@ -580,8 +590,14 @@ def extract_splitting(
     slow bundle is the limit of pulling a complementary seed back along
     the forward orbit.  Extraction depth increases by ``k_step`` until
     the principal-angle increment between successive depths drops below
-    ``tol`` or the budget ``k_max`` is reached; ``k_start = k_max`` runs
-    one round at that fixed depth.  Each orbit is walked once: a deeper
+    ``tol`` or the next round would pass ``k_max``.  The first round runs
+    at ``k_start`` and has no increment: ``k_start = k_max`` runs that
+    one round, whose gap stays ``inf`` and which does not converge.
+
+    The rates and the sweep both extract with the defaults, one depth
+    rule for both: on the default construction each stops at depth 30,
+    and ``tol = 1e-12`` lies below the sweep's fourth deviation (about
+    6e-11), which 1e-10 would not.  Each orbit is walked once: a deeper
     round extends both walks by ``k_step`` steps.  The fast frames are
     transported before the forward walk is taken, and the last round
     releases the backward walk first, so one walk is held at a time.
@@ -594,45 +610,28 @@ def extract_splitting(
     x = np.asarray(x, dtype=float)
     fast_seed = _axes_frame(fast_axes, x.shape[-1])
     slow_seed = _axes_frame(slow_axes, x.shape[-1])
-    prev_fast = prev_slow = None
-    fast = slow = None
+    prev = None
     gap = math.inf
     steps = k_start
     # Both walks start at x and grow with the depth; pb is nearest first.
     yb = yf = x
     pb = pf = np.empty((0,) + x.shape)
-    while steps <= k_max:
+    while True:
+        last = steps + k_step > k_max
         yb, more = _walk(dyn.step_inverse_with_point, yb, steps - len(pb))
         pb = np.concatenate([pb, more]) if len(pb) else more
         fast = qr_product_forward(pb[::-1], dyn.frame_jacobian, fast_seed)
-        if steps + k_step > k_max:
-            pb = more = None  # the last round: no deeper walk needs it
+        if last:
+            pb = more = None  # no deeper walk needs it
         yf, more = _walk(dyn.step_with_point, yf, steps - len(pf))
         pf = np.concatenate([pf, more]) if len(pf) else more
         slow = qr_product_pullback(pf, dyn.frame_jacobian, slow_seed)
-        if prev_fast is not None:
-            gap = float(
-                np.max([principal_angle(fast, prev_fast), principal_angle(slow, prev_slow)])
-            )
-            if gap < tol:
-                return SplittingEstimate(
-                    point=x,
-                    fast_frame=fast,
-                    slow_frame=slow,
-                    steps_used=steps,
-                    gap=gap,
-                    converged=True,
-                )
-        prev_fast, prev_slow = fast, slow
+        if prev is not None:
+            gap = float(np.max([principal_angle(fast, prev[0]), principal_angle(slow, prev[1])]))
+        if gap < tol or last:
+            return SplittingEstimate(fast, slow, steps, gap, gap < tol)
+        prev = fast, slow
         steps += k_step
-    return SplittingEstimate(
-        point=x,
-        fast_frame=fast,
-        slow_frame=slow,
-        steps_used=steps - k_step,
-        gap=gap,
-        converged=False,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -649,6 +648,7 @@ class RateReport:
     center growth inside ``((l2 - eps)^n, (1 + eps)^n)``, unstable
     growth above ``(l3 - eps)^n``.  The per-step rates ``nu = s_max^(1/n)``
     etc. feed the bunching margin ``gamma * gamma_hat - max(nu, nu_hat)``.
+    ``extraction`` records the frame extraction the rates were measured on.
     """
 
     exponent: int
@@ -665,6 +665,7 @@ class RateReport:
     nu_hat: float
     gamma: float
     gamma_hat: float
+    extraction: ExtractionStats
 
     @property
     def bullets(self) -> tuple[bool, bool, bool, bool]:
@@ -751,13 +752,14 @@ def bunching_report(
     inner_scale: float = 0.02,
     outer_radius: float = 0.1,
     seed: int = 0,
-    extraction_steps: int = 80,
 ) -> RateReport:
     """Measure the four rate bullets and the bunching margin.
 
     At every sample point the three bundles are extracted by
-    :func:`extract_splitting` at the fixed depth ``extraction_steps``,
-    the n-step derivative product is taken from :func:`cocycle_product`,
+    :func:`extract_splitting` with its default depth rule (its statistics
+    are the report's ``extraction``; the caller decides what an
+    unconverged extraction means), the n-step derivative product is
+    taken from :func:`cocycle_product`,
     and its singular values restricted to each bundle are aggregated into
     the worst observed stable/center/unstable growth.  ``rates`` supplies
     the eigenvalue triple entering the bounds, and ``plane_axes`` the
@@ -778,8 +780,6 @@ def bunching_report(
         x,
         STRONG_STABLE_AXES + CENTER_AXES,
         EXPANDING_AXES + CENTER_AXES,
-        k_start=extraction_steps,
-        k_max=extraction_steps,
     )
     q_upper, q_lower = est.fast_frame, est.slow_frame
     q_unstable = q_upper[..., : len(EXPANDING_AXES)]
@@ -810,6 +810,7 @@ def bunching_report(
         nu_hat=u_min ** (-1.0 / n),
         gamma=c_lo ** (1.0 / n),
         gamma_hat=c_hi ** (-1.0 / n),
+        extraction=est.stats,
     )
 
 
@@ -820,11 +821,13 @@ def bunching_report(
 
 @dataclass(frozen=True, eq=False)
 class SweepPoint:
-    """Worst splitting deviation on the probe set for one support radius."""
+    """Worst splitting deviation on the probe set for one support radius,
+    and the statistics of the extraction it was measured on."""
 
     radius: float
     deviation: float
     probes: int
+    extraction: ExtractionStats
 
 
 def _probe_directions(
@@ -834,10 +837,11 @@ def _probe_directions(
 
     Two thirds live entirely in the expanding coordinates (where the
     deformed splitting deviates most), the rest are mixed with the
-    expanding block up-weighted.
+    expanding block up-weighted.  At least one is pure, so that a single
+    probe still sees the deformation.
     """
     dirs = []
-    n_pure = (2 * count) // 3
+    n_pure = max(1, (2 * count) // 3)
     for _ in range(n_pure):
         w = rng.normal(size=len(EXPANDING_AXES))
         w /= np.linalg.norm(w)
@@ -857,7 +861,6 @@ def splitting_deviation_sweep(
     probe_radius: float = 0.1,
     probe_count: int = 24,
     seed: int = 1,
-    extraction_steps: int = 90,
 ) -> tuple[SweepPoint, ...]:
     """Worst probe-set deviation of the extracted splitting per radius.
 
@@ -867,11 +870,12 @@ def splitting_deviation_sweep(
     lattice.  The unstable and stable bundles are extracted at all probe
     points (each at distance ``probe_radius`` from the fixed point,
     outside every support ball in the sweep) of all radii by one
-    :func:`extract_splitting` at the fixed depth ``extraction_steps``,
-    which walks every radius's probes as one stack, with one lattice
-    reduction per step.  The frames are compared against the undeformed
-    coordinate bundles; the sweep records the worst principal angle per
-    radius.
+    :func:`extract_splitting` with its default depth rule, which walks
+    every radius's probes as one stack, with one lattice reduction per
+    step, and deepens until the whole stack converges.  The frames are
+    compared against the undeformed coordinate bundles; the sweep records
+    the worst principal angle per radius, and every point carries the one
+    extraction's statistics.
 
     The same seeded probe directions are used for every radius, so the
     sweep isolates the effect of the support radius alone.
@@ -886,8 +890,6 @@ def splitting_deviation_sweep(
         np.tile(x, (len(maps), 1)),
         STRONG_STABLE_AXES,
         EXPANDING_AXES,
-        k_start=extraction_steps,
-        k_max=extraction_steps,
     )
     angles = np.maximum(
         principal_angle(est.fast_frame, _axes_frame(EXPANDING_AXES)),
@@ -895,6 +897,6 @@ def splitting_deviation_sweep(
     )
     worst = angles.reshape(len(maps), len(x)).max(axis=1)
     return tuple(
-        SweepPoint(radius=float(radius), deviation=float(w), probes=len(x))
+        SweepPoint(float(radius), float(w), len(x), est.stats)
         for radius, w in zip(radii, worst)
     )

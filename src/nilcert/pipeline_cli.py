@@ -49,6 +49,7 @@ from .cone_certifier import (
     CertificationError,
     DominationWitness,
     EXPANDING_AXES,
+    ExtractionStats,
     LinearDynamics,
     bunching_report,
     find_domination_exponent,
@@ -92,7 +93,7 @@ EXIT_CERTIFICATION_FAILURE = 3
 EXIT_INTERNAL_ERROR = 4
 EXIT_BROKEN_PIPE = 141
 
-REPORT_SCHEMA_VERSION = "3"
+REPORT_SCHEMA_VERSION = "4"
 
 
 class ConfigError(ValueError):
@@ -133,7 +134,6 @@ class PipelineConfig:
     probe_radius: float = 0.1
     probe_count: int = 24
     inner_scale: float = 0.02
-    extraction_steps: int = 80
     sweep_supports: tuple[float, ...] = (
         0.05,
         6.25e-3,
@@ -172,8 +172,7 @@ class PipelineConfig:
             value = getattr(self, name)
             if not (_is_int(value) and value >= 100):
                 raise ConfigError(f"{name} must be an integer of at least 100")
-        for name in ("sample_count", "n_max", "probe_count", "mc_trials",
-                     "extraction_steps"):
+        for name in ("sample_count", "n_max", "probe_count", "mc_trials"):
             value = getattr(self, name)
             if not (_is_int(value) and value >= 1):
                 raise ConfigError(f"{name} must be a positive integer")
@@ -272,6 +271,14 @@ class PipelineConfig:
 # ---------------------------------------------------------------------------
 
 
+def _with_status(frag: dict, errors: Sequence[str]) -> dict:
+    """``frag`` passing when there are no errors, else failing with all of them."""
+    frag["status"] = "fail" if errors else "pass"
+    if errors:
+        frag["error"] = "; ".join(errors)
+    return frag
+
+
 def _stage_matrix(config: PipelineConfig) -> tuple[dict, Optional[EigenData]]:
     """Certify the integer matrix: char poly, irreducibility, root chain.
 
@@ -331,10 +338,7 @@ def _stage_nilmanifold(
         "automorphism_integrality_residual": integrality,
     }
     ok = closure < 1e-9 and integrality < 1e-9
-    frag["status"] = "pass" if ok else "fail"
-    if not ok:
-        frag["error"] = "lattice residuals exceed 1e-9"
-    return frag, auto, lattice
+    return _with_status(frag, [] if ok else ["lattice residuals exceed 1e-9"]), auto, lattice
 
 
 def _annuli(
@@ -449,11 +453,9 @@ def _stage_planner(
                 + res.describe()
             )
     if errors:
-        frag["error"] = "; ".join(errors)
-        return frag, None
-    frag["status"] = "pass"
+        return _with_status(frag, errors), None
     (step,) = plan.steps
-    return frag, step
+    return _with_status(frag, []), step
 
 
 @dataclass(frozen=True, eq=False)
@@ -550,10 +552,7 @@ def _stage_deformation(
         and sup_dev < config.support_eps
         and det_dev < 1e-9
     )
-    frag["status"] = "pass" if ok else "fail"
-    if not ok:
-        frag["error"] = "derivative checks failed inside the support"
-    return frag, dyn
+    return _with_status(frag, [] if ok else ["derivative checks failed inside the support"]), dyn
 
 
 def _stage_certification(
@@ -607,10 +606,13 @@ def _stage_certification(
         "seed": rob.seed,
     }
     ok = rob.delta > 0.0 and rob.failures == 0
-    frag["status"] = "pass" if ok else "fail"
-    if not ok:
-        frag["error"] = "robustness validation failed"
-    return frag, witness
+    return _with_status(frag, [] if ok else ["robustness validation failed"]), witness
+
+
+def _unconverged(**extractions: ExtractionStats) -> list[str]:
+    """One error per named extraction that did not converge, with its gap."""
+    return [f"{name} extraction did not converge in {e.steps_used} steps: gap {e.gap:.3e}"
+            for name, e in extractions.items() if not e.converged]
 
 
 def _stage_rates(
@@ -628,7 +630,6 @@ def _stage_rates(
             inner_scale=config.inner_scale,
             plane_axes=con.step.axes,
             seed=config.seed,
-            extraction_steps=config.extraction_steps,
         )
         for d in (dyn, LinearDynamics(con.auto, con.lattice))
     )
@@ -652,6 +653,7 @@ def _stage_rates(
             "u_min_above": deformed.u_bound,
         },
         "bullets": list(deformed.bullets),
+        "extraction": dataclasses.asdict(deformed.extraction),
         "bunching": {
             "nu": deformed.nu,
             "nu_hat": deformed.nu_hat,
@@ -666,18 +668,18 @@ def _stage_rates(
             "nu_hat_measured": undeformed.nu_hat,
             "nu_abs_error": repro_nu,
             "nu_hat_abs_error": repro_nu_hat,
+            "extraction": dataclasses.asdict(undeformed.extraction),
         },
     }
-    ok = (
+    errors = _unconverged(deformed=deformed.extraction, undeformed=undeformed.extraction)
+    if not (
         deformed.all_bullets_hold
         and deformed.center_bunched
         and repro_nu < 1e-6
         and repro_nu_hat < 1e-6
-    )
-    frag["status"] = "pass" if ok else "fail"
-    if not ok:
-        frag["error"] = "rate bullets, bunching, or oracle reproduction failed"
-    return frag
+    ):
+        errors.append("rate bullets, bunching, or oracle reproduction failed")
+    return _with_status(frag, errors)
 
 
 def _stage_sweep(config: PipelineConfig, con: Construction) -> dict:
@@ -704,13 +706,10 @@ def _stage_sweep(config: PipelineConfig, con: Construction) -> dict:
         probe_radius=config.probe_radius,
         probe_count=config.probe_count,
         seed=config.seed + 1,
-        extraction_steps=max(90, config.extraction_steps),
     )
     ladder = [p.deviation for p in points[:-1]]
     control = points[-1].deviation
-    strictly_decreasing = all(
-        ladder[i] > ladder[i + 1] for i in range(len(ladder) - 1)
-    )
+    strictly_decreasing = all(a > b for a, b in zip(ladder, ladder[1:]))
     frag = {
         "points": [
             {"support_scale": p.radius, "deviation": p.deviation}
@@ -720,17 +719,12 @@ def _stage_sweep(config: PipelineConfig, con: Construction) -> dict:
         "final_deviation": ladder[-1] if ladder else None,
         "control_deviation": control,
         "warnings": warnings,
+        "extraction": dataclasses.asdict(points[-1].extraction),
     }
-    ok = (
-        strictly_decreasing
-        and bool(ladder)
-        and ladder[-1] < 1e-3
-        and control == 0.0
-    )
-    frag["status"] = "pass" if ok else "fail"
-    if not ok:
-        frag["error"] = "sweep not decreasing to tolerance with exact control"
-    return frag
+    errors = _unconverged(stacked=points[-1].extraction)
+    if not (strictly_decreasing and ladder and ladder[-1] < 1e-3 and control == 0.0):
+        errors.append("sweep not decreasing to tolerance with exact control")
+    return _with_status(frag, errors)
 
 
 # ---------------------------------------------------------------------------
@@ -780,6 +774,11 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> N
     path.write_text("\n".join(lines) + "\n")
 
 
+def _write_sweep_csv(curves: Path, points: Sequence[dict]) -> None:
+    rows = [(p["support_scale"], p["deviation"]) for p in points]
+    _write_csv(curves / "support_sweep.csv", ["support_scale", "deviation"], rows)
+
+
 def _emit_curves(out_dir: Path, report: dict, config: PipelineConfig) -> None:
     curves = out_dir / "curves"
     cert = report["stages"].get("certification", {})
@@ -793,11 +792,7 @@ def _emit_curves(out_dir: Path, report: dict, config: PipelineConfig) -> None:
     sweep = report["stages"].get("sweep", {})
     points = sweep.get("points", [])
     if points:
-        _write_csv(
-            curves / "support_sweep.csv",
-            ["support_scale", "deviation"],
-            [(p["support_scale"], p["deviation"]) for p in points],
-        )
+        _write_sweep_csv(curves, points)
     deform = report["stages"].get("deformation", {})
     prof = deform.get("profile")
     if prof:
@@ -894,12 +889,7 @@ def cmd_sweep_support(config: PipelineConfig) -> int:
         print(f"planning failed: {stages['planner'].get('error')}")
         return EXIT_CERTIFICATION_FAILURE
     frag = _stage_sweep(config, con)
-    out_dir = Path(config.out_dir)
-    _write_csv(
-        out_dir / "curves" / "support_sweep.csv",
-        ["support_scale", "deviation"],
-        [(p["support_scale"], p["deviation"]) for p in frag["points"]],
-    )
+    _write_sweep_csv(Path(config.out_dir) / "curves", frag["points"])
     for p in frag["points"]:
         print(f"support_scale {p['support_scale']:.6e}  deviation {p['deviation']:.6e}")
     for w in frag["warnings"]:
@@ -929,6 +919,13 @@ def _print_certification_diagnostics(frag: dict) -> None:
     if "fallbacks" in rob:
         print(f"    Monte Carlo: {rob['failures']} failures in {rob['trials']} trials, "
               f"{rob['fallbacks']} Cholesky fallbacks")
+
+
+def _print_extraction(frag: dict) -> None:
+    ext = frag.get("extraction")
+    if ext:
+        print(f"    extraction: {ext['steps_used']} steps, gap {ext['gap']:.3e}, "
+              f"converged {ext['converged']}")
 
 
 def _print_rates_diagnostics(frag: dict) -> None:
@@ -974,6 +971,7 @@ def cmd_report(config: PipelineConfig) -> int:
             print(f"    error: {frag['error']}")
         if name in _STAGE_DIAGNOSTICS:
             _STAGE_DIAGNOSTICS[name](frag)
+        _print_extraction(frag)
     print(f"verdict: {report.get('verdict')}")
     return EXIT_PASS
 

@@ -303,6 +303,8 @@ def test_linear_dynamics_matches_automorphism(auto, lattice):
     assert np.array_equal(end, lin.step(lin.step(nxt)))
     back, p = lin.step_inverse_with_point(nxt)
     assert np.array_equal(back, lattice.reduce(auto.apply_inverse(nxt)))
+    # As the deformed map's (x, z) with the identity rotation: z = y.
+    assert np.array_equal(p, nxt)
     assert np.array_equal(lin.frame_jacobian(p), auto.matrix)
 
 
@@ -311,7 +313,9 @@ def test_rates_transport_two_nested_frames_per_sample(
 ):
     # Column-nested QR transport: for every sample the unstable and stable
     # frames are the leading columns of its upper and lower frames, bit for
-    # bit, so one report needs two batched transports, not two per sample.
+    # bit, so one report needs two batched transports per extraction round,
+    # not two per sample.  The default depth rule runs rounds of 15 and 30
+    # steps here.
     calls = []
 
     def recording(transport):
@@ -326,10 +330,16 @@ def test_rates_transport_two_nested_frames_per_sample(
     report = bunching_report(
         deformed, eigendata.values, plane_axes, n=2, sample_count=8, seed=3
     )
-    assert len(calls) == 2
+    assert (report.extraction.steps_used, report.extraction.converged) == (30, True)
+    assert [(c[0], len(c[1])) for c in calls] == [
+        (qr_product_forward, 15),
+        (qr_product_pullback, 15),
+        (qr_product_forward, 30),
+        (qr_product_pullback, 30),
+    ]
     for transport, points, jacobian, q0, q in calls:
         lead = 3 if transport is qr_product_forward else 4
-        assert points.shape == (80, report.sample_count, DIM)
+        assert points.shape[1:] == (report.sample_count, DIM)
         assert q.shape == (report.sample_count,) + q0.shape
         for i in range(report.sample_count):
             alone = transport(points[:, i], jacobian, q0[:, :lead])
@@ -401,9 +411,10 @@ def _sweep_dynamics(auto, lattice, plan):
 def test_batched_sweep_matches_points_walked_alone(auto, lattice, plan):
     radii = PipelineConfig().sweep_supports + (0.0,)
     dynamics_for = _sweep_dynamics(auto, lattice, plan)
-    sweep = splitting_deviation_sweep(
-        dynamics_for, radii, probe_count=6, seed=2, extraction_steps=90
-    )
+    sweep = splitting_deviation_sweep(dynamics_for, radii, probe_count=6, seed=2)
+    steps = sweep[0].extraction.steps_used
+    assert all(p.extraction == sweep[0].extraction for p in sweep)
+    assert sweep[0].extraction.converged
     dirs = cc._probe_directions(np.random.default_rng(2), 6)
     u_ref = cc._axes_frame(EXPANDING_AXES)
     s_ref = cc._axes_frame(STRONG_STABLE_AXES)
@@ -411,11 +422,25 @@ def test_batched_sweep_matches_points_walked_alone(auto, lattice, plan):
         dyn = dynamics_for(radius)
         worst = 0.0
         for v in dirs:
-            q_u, q_s, _ = _alone(dyn, 0.1 * v, 90, u_ref, s_ref)
+            q_u, q_s, _ = _alone(dyn, 0.1 * v, steps, u_ref, s_ref)
             worst = max(worst, principal_angle(q_u, u_ref), principal_angle(q_s, s_ref))
         assert (point.radius, point.probes) == (radius, 6)
         assert point.deviation == worst
     assert sweep[0].deviation > 0.0 and sweep[-1].deviation == 0.0
+
+
+@pytest.mark.parametrize("seed", [1, 6])
+def test_single_probe_sweep_strictly_decreases(auto, lattice, plan, seed):
+    # One probe is one pure-expanding direction, so the deformation shows.
+    (v,) = cc._probe_directions(np.random.default_rng(seed), 1)
+    assert np.count_nonzero(v[list(EXPANDING_AXES)]) == len(EXPANDING_AXES) == np.count_nonzero(v)
+    radii = PipelineConfig().sweep_supports + (0.0,)
+    sweep = splitting_deviation_sweep(
+        _sweep_dynamics(auto, lattice, plan), radii, probe_count=1, seed=seed
+    )
+    ladder = [p.deviation for p in sweep[:-1]]
+    assert all(a > b for a, b in zip(ladder, ladder[1:])) and ladder[-1] > 0.0
+    assert sweep[-1].deviation == 0.0 and sweep[0].extraction.converged
 
 
 @pytest.mark.parametrize("with_lattice", [True, False])

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nilcert
+from nilcert import cone_certifier
 from nilcert.pipeline_cli import (
     ConfigError,
     EXIT_BROKEN_PIPE,
@@ -22,6 +23,7 @@ from nilcert.pipeline_cli import (
     EXIT_PASS,
     PipelineConfig,
     main,
+    run_pipeline,
 )
 
 GOLDEN = Path(__file__).parent / "data" / "golden_report.json"
@@ -34,7 +36,6 @@ LIGHT = {
     "theta_grid": 256,
     "robustness_grid": 128,
     "probe_count": 8,
-    "extraction_steps": 70,
     "sweep_supports": [0.05, 6.25e-3, 7.8125e-4],
 }
 
@@ -105,7 +106,7 @@ def test_default_pipeline_passes_every_stage(pipeline_reports):
         "sweep",
     ):
         assert report["stages"][name]["status"] == "pass", name
-    assert report["schema_version"] == "3"
+    assert report["schema_version"] == "4"
     assert report["tool"]["name"] == "nilcert"
     assert report["erratum_notes"]
 
@@ -238,6 +239,41 @@ def test_invalid_config_exits_two(tmp_path, capsys):
     assert "invalid config" in capsys.readouterr().err
 
 
+def test_removed_extraction_depth_key_exits_two(tmp_path, capsys):
+    # The extraction depth is measured, not configured.
+    cfg = _write_config(tmp_path, {"extraction_steps": 80})
+    code = main(["certify", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert code == EXIT_INVALID_INPUT
+    assert "unknown config keys: ['extraction_steps']" in capsys.readouterr().err
+
+
+def test_unconverged_extraction_fails_its_stage(tmp_path, capsys, monkeypatch):
+    extract = cone_certifier.extract_splitting
+
+    def single_round(*args, **kwargs):
+        return extract(*args, **kwargs, k_start=15, k_max=15)
+
+    monkeypatch.setattr(cone_certifier, "extract_splitting", single_round)
+    cfg = _write_config(tmp_path)
+    out_dir = tmp_path / "out"
+    code = main(["certify", "--config", cfg, "--out", str(out_dir)])
+    capsys.readouterr()
+    assert code == EXIT_CERTIFICATION_FAILURE
+    report = json.loads((out_dir / "report.json").read_text())
+    assert report["verdict"] == "FAIL"
+    assert report["failures"] == ["rates", "sweep"]
+    rates, sweep = report["stages"]["rates"], report["stages"]["sweep"]
+    unconverged = {"steps_used": 15, "gap": math.inf, "converged": False}
+    for ext in (rates["extraction"], rates["undeformed_oracle"]["extraction"], sweep["extraction"]):
+        assert ext == unconverged
+    # The frames still give passing rates and ladder; only convergence fails.
+    for frag, names in ((rates, ("deformed", "undeformed")), (sweep, ("stacked",))):
+        assert frag["status"] == "fail"
+        assert frag["error"] == "; ".join(
+            f"{name} extraction did not converge in 15 steps: gap inf" for name in names
+        )
+
+
 @pytest.mark.parametrize(
     "extra",
     [
@@ -358,7 +394,7 @@ def test_report_command_pretty_prints(tmp_path, capsys):
     assert main(["report", "--out", str(out_dir)]) == EXIT_PASS
     stdout = capsys.readouterr().out
     assert "verdict: PASS" in stdout
-    assert "schema 3" in stdout
+    assert "schema 4" in stdout
     assert "multiplier cap 8, reached per annulus: [False, False]" in stdout
     assert "Monte Carlo: 0 failures in 100 trials, 0 Cholesky fallbacks" in stdout
 
@@ -368,9 +404,12 @@ def test_report_command_prints_rates_and_sweep_diagnostics(tmp_path, capsys):
     assert main(["report", "--out", str(tmp_path)]) == EXIT_PASS
     lines = capsys.readouterr().out.splitlines()
     rates = lines.index("  rates: pass")
-    assert lines[rates + 1] == "    bunching margin 0.302237 (nu 0.283119, nu_hat 0.120631)"
+    assert lines[rates + 1 : rates + 3] == [
+        "    bunching margin 0.302237 (nu 0.283119, nu_hat 0.120631)",
+        "    extraction: 30 steps, gap 2.195e-14, converged True",
+    ]
     sweep = lines.index("  sweep: pass")
-    assert lines[sweep + 1 : sweep + 8] == [
+    assert lines[sweep + 1 : sweep + 9] == [
         "    support_scale 5.000000e-02 -> deviation 6.430315e-04",
         "    support_scale 6.250000e-03 -> deviation 7.144333e-05",
         "    support_scale 7.812500e-04 -> deviation 7.477899e-08",
@@ -378,6 +417,7 @@ def test_report_command_prints_rates_and_sweep_diagnostics(tmp_path, capsys):
         "    support_scale 1.220703e-05 -> deviation 4.516434e-14",
         "    support_scale 0.000000e+00 -> deviation 0.000000e+00",
         "    strictly decreasing: True",
+        "    extraction: 30 steps, gap 7.306e-16, converged True",
     ]
 
 
@@ -507,3 +547,24 @@ def test_fuzzed_seed_and_grid_flags_never_exit_internal_error(command, seed, gri
     with tempfile.TemporaryDirectory() as tmp:
         code = main([command, "--seed", str(seed), "--grid", str(grid), "--out", tmp])
     assert code in (EXIT_PASS, EXIT_INVALID_INPUT, EXIT_CERTIFICATION_FAILURE)
+
+
+# The benchmark's reduced certify config.
+_REDUCED = {"theta_grid": 128, "robustness_grid": 100, "mc_trials": 50}
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sample_count=st.integers(1, 64),
+    probe_count=st.integers(1, 12),
+)
+def test_fuzzed_reduced_certify_passes_with_converged_extractions(seed, sample_count, probe_count):
+    config = PipelineConfig(
+        **_REDUCED, seed=seed, sample_count=sample_count, probe_count=probe_count
+    )
+    report = run_pipeline(config)
+    assert report["verdict"] == "PASS", report["failures"]
+    rates, sweep = report["stages"]["rates"], report["stages"]["sweep"]
+    for ext in (rates["extraction"], rates["undeformed_oracle"]["extraction"], sweep["extraction"]):
+        assert ext["converged"] and ext["gap"] < 1e-12
