@@ -7,12 +7,11 @@ flattened by their owning modules.
 The profile kernel takes an array of radii and the rotation kernels an
 (N, d) stack of rows; each radius or row gets the value the element
 loops kept as oracles in ``tests/test_kernels.py`` give it alone, bit for
-bit.  The rotation kernels take in-plane coordinates as one
-``np.vecdot`` per row, which is exact when ``e1`` and ``e2`` are
-coordinate vectors.  Those are the only planes the pipeline rotates in:
-its planner stage passes only single-step plans, and every single-step
-plan turns a coordinate plane.  The domination kernels require one
-(:func:`plane_axes`).
+bit.  The rotation kernels take the plane as its two basis vectors
+``e1`` and ``e2``, which are coordinate vectors
+(``deformation.RotationPlane``), so the in-plane coordinates they take
+as one ``np.vecdot`` per row are exact.  The domination kernels take
+the plane's two axes.
 
 Products are plain ``@``.  On stacks, ``(N, d, d) @ (N, d, k)`` runs the
 same routine per matrix as a single ``@``, so the QR transport kernels
@@ -239,24 +238,10 @@ def containment_margin(s_img, s_tgt, lam_hi, tol):
     return max((f1, x1), (f2, x2), (fa, 0.0), (fb, lam_hi), key=lambda c: c[0])
 
 
-def plane_axes(e1, e2):
-    """The axes (i, j) of a coordinate plane, whose basis e1, e2 are the
-    standard basis vectors of axes i and j.  Raises ValueError for any
-    other plane."""
-    i, j = int(np.argmax(e1)), int(np.argmax(e2))
-    eye = np.eye(e1.shape[0])
-    if not (np.array_equal(e1, eye[i]) and np.array_equal(e2, eye[j])):
-        raise ValueError(
-            "block-form domination needs a coordinate plane: e1 and e2 "
-            "must be standard basis vectors"
-        )
-    return i, j
-
-
-def rotated_blocks(diag, thetas, n, tau, e1, e2):
+def rotated_blocks(diag, thetas, n, tau, axes):
     """The threshold-normalized n-step maps M = (R_theta D)^n / tau^n in
     block form, for D = diag(diag) and R_theta turning the coordinate
-    plane (e1, e2) of axes (i, j).
+    plane of axes (i, j), axis i towards axis j.
 
     M fixes every other axis, so it is a scalar ``(d_k / tau)^n`` on each
     of them and one 2x2 block on (i, j).  Returns ``(scalars, blocks)``:
@@ -266,7 +251,7 @@ def rotated_blocks(diag, thetas, n, tau, e1, e2):
     |R_theta D|^n / tau^n and |D^-1 R_-theta|^n tau^n that bound their
     rounding.
     """
-    i, j = plane_axes(e1, e2)
+    i, j = axes
     inv_tau_n = tau ** (-float(n))
     tau_n = tau ** float(n)
     off = np.delete(diag, [i, j])
@@ -355,7 +340,7 @@ def block_norms(scalars, blocks):
     return np.maximum(sigma, np.abs(scalars).max(axis=1)[:, None]).T
 
 
-def grid_domination_margins(diag, thetas, n, tau, e1, e2, lam_hi, tol):
+def grid_domination_margins(diag, thetas, n, tau, axes, lam_hi, tol):
     """Containment margins of the n-step rotated maps over a theta grid.
 
     For each theta, the threshold-normalized n-step map
@@ -363,13 +348,13 @@ def grid_domination_margins(diag, thetas, n, tau, e1, e2, lam_hi, tol):
     S = M^T M - I and its image cone S' = I - M^-T M^-1; the S-procedure
     margin certifies that the map sends the cone strictly inside itself.
     Normalizing by the threshold keeps the margins and the maximizing
-    multipliers on a common scale across exponents and thresholds.  The
-    plane (e1, e2) must be a coordinate plane; the margins are taken in
+    multipliers on a common scale across exponents and thresholds.  R_theta
+    turns the coordinate plane of ``axes``, and the margins are taken in
     block form (:func:`rotated_blocks`, :func:`block_margins`).  Returns
     (margin, multiplier, rounding bound) per theta, as an array of shape
     (len(thetas), 3).
     """
-    return block_margins(*rotated_blocks(diag, thetas, n, tau, e1, e2), n, lam_hi, tol)
+    return block_margins(*rotated_blocks(diag, thetas, n, tau, axes), n, lam_hi, tol)
 
 
 def rump_positive_definite(a):

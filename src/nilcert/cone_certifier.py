@@ -162,8 +162,7 @@ def find_domination_exponent(
     ``theta = 0`` grid point.  The first exponent whose grid margins, each
     less its rounding bound, clear ``margin_floor`` for every annulus is
     returned; exhausting ``n_max`` raises :class:`CertificationError`
-    carrying the margin history on the exception.  ``plane`` must be a
-    coordinate plane (``ValueError`` otherwise).
+    carrying the margin history on the exception.
     """
     diag = np.asarray(diag, dtype=float)
     thetas = _grid(a, grid)
@@ -171,7 +170,7 @@ def find_domination_exponent(
     for n in range(1, n_max + 1):
         rows = [
             grid_domination_margins(
-                diag, thetas, n, ann.beta_q, plane.e1, plane.e2, lam_hi, tol
+                diag, thetas, n, ann.beta_q, plane.axes, lam_hi, tol
             )
             for ann in annuli
         ]
@@ -252,8 +251,7 @@ def robustness_radius(
     stays below the unperturbed margin.  The radius is the infimum over
     the theta grid and the annuli of the bisected ``d``, rescaled to an
     absolute perturbation by ``tau^n``; margins and norms come from the
-    block form, so ``plane`` must be a coordinate plane (``ValueError``
-    otherwise).
+    block form.
 
     Monte Carlo trials then perturb the n-step map at ``safety * delta``
     in random directions at random angles (drawn per trial: the angle,
@@ -273,7 +271,7 @@ def robustness_radius(
     multipliers: list[np.ndarray] = []
     for ann in annuli:
         tau_n = ann.beta_q**n
-        blocks = rotated_blocks(diag, thetas, n, ann.beta_q, plane.e1, plane.e2)
+        blocks = rotated_blocks(diag, thetas, n, ann.beta_q, plane.axes)
         margin, lam, _ = block_margins(*blocks, n, lam_hi, tol).T
         bad = np.flatnonzero(margin <= 0)
         if bad.size:
@@ -695,7 +693,7 @@ def _rate_sample_points(
     count: int,
     inner_scale: float,
     outer_radius: float,
-    plane_axes: tuple[int, int],
+    rotation_axes: tuple[int, int],
     dim: int = DIM,
 ) -> list[np.ndarray]:
     """Deterministic probe set mixing bulk, funnel, and in-plane points.
@@ -734,8 +732,8 @@ def _rate_sample_points(
         # Adversarial in-plane rays.
         for dep in (0.9, 0.5, 0.1, 1e-3, 1e-8, 1e-15):
             x = np.zeros(dim)
-            x[plane_axes[0]] = inner_scale * dep / math.sqrt(2.0)
-            x[plane_axes[1]] = inner_scale * dep / math.sqrt(2.0)
+            x[rotation_axes[0]] = inner_scale * dep / math.sqrt(2.0)
+            x[rotation_axes[1]] = inner_scale * dep / math.sqrt(2.0)
             points.append(x)
             if len(points) >= count:
                 break
@@ -745,7 +743,7 @@ def _rate_sample_points(
 def bunching_report(
     dyn,
     rates: tuple[float, float, float],
-    plane_axes: tuple[int, int],
+    rotation_axes: tuple[int, int],
     n: int = 2,
     eps_rate: float = 0.05,
     sample_count: int = 512,
@@ -762,14 +760,14 @@ def bunching_report(
     taken from :func:`cocycle_product`,
     and its singular values restricted to each bundle are aggregated into
     the worst observed stable/center/unstable growth.  ``rates`` supplies
-    the eigenvalue triple entering the bounds, and ``plane_axes`` the
+    the eigenvalue triple entering the bounds, and ``rotation_axes`` the
     rotation plane (the plan's ``step.axes``) whose in-plane rays are
     sampled.  All samples go through both calls as one (N, 9) stack.
     """
     l1, l2, l3 = rates
     rng = np.random.default_rng(seed)
     x = np.array(
-        _rate_sample_points(rng, dyn, sample_count, inner_scale, outer_radius, plane_axes)
+        _rate_sample_points(rng, dyn, sample_count, inner_scale, outer_radius, rotation_axes)
     )
     # QR transport is column-nested (leading columns of a transported frame
     # depend on the leading seed columns only), so one extraction gives the

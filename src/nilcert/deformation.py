@@ -1,8 +1,9 @@
 """Compactly supported local rotations and the deformed dynamics.
 
-The deformation is a radial rotation in a fixed 2-plane: a point at
-distance ``r`` from the chart origin is rotated by the angle ``psi(r)``,
-where ``psi`` is a plateau-log-cutoff profile.  Composing this local
+The deformation is a radial rotation in a fixed coordinate 2-plane
+(:class:`RotationPlane`, two axes of the chart): a point at distance
+``r`` from the chart origin is rotated by the angle ``psi(r)``, where
+``psi`` is a plateau-log-cutoff profile.  Composing this local
 rotation with a hyperbolic automorphism produces the deformed map whose
 partial hyperbolicity the rest of the package certifies.
 
@@ -230,37 +231,26 @@ def psi_slope(profile: BumpProfile, t):
 
 @dataclass(frozen=True)
 class RotationPlane:
-    """An oriented 2-plane given by an orthonormal basis pair."""
+    """The oriented coordinate plane of axes ``i`` and ``j`` in dimension
+    ``dim``: a positive angle turns ``e1`` (the basis vector of axis
+    ``i``) towards ``e2`` (that of axis ``j``)."""
 
-    e1: np.ndarray
-    e2: np.ndarray
+    i: int
+    j: int
+    dim: int = DIM
+    e1: np.ndarray = field(init=False, repr=False, compare=False)
+    e2: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        e1 = np.asarray(self.e1, dtype=float)
-        e2 = np.asarray(self.e2, dtype=float)
-        if e1.ndim != 1 or e1.shape != e2.shape or e1.shape[0] < 2:
-            raise ValueError(
-                "plane basis vectors must share a 1-D shape of length >= 2"
-            )
-        if (
-            abs(np.dot(e1, e1) - 1.0) > 1e-12
-            or abs(np.dot(e2, e2) - 1.0) > 1e-12
-            or abs(np.dot(e1, e2)) > 1e-12
-        ):
-            raise ValueError("plane basis must be orthonormal")
+        if not (0 <= self.i < self.dim and 0 <= self.j < self.dim) or self.i == self.j:
+            raise ValueError("need two distinct basis indices in range")
+        e1, e2 = np.eye(self.dim)[[self.i, self.j]]
         object.__setattr__(self, "e1", e1)
         object.__setattr__(self, "e2", e2)
 
-    @classmethod
-    def from_basis_indices(cls, i: int, j: int, dim: int = DIM) -> "RotationPlane":
-        """Coordinate plane spanned by basis vectors ``i`` and ``j``."""
-        if not (0 <= i < dim and 0 <= j < dim) or i == j:
-            raise ValueError("need two distinct basis indices in range")
-        e1 = np.zeros(dim)
-        e2 = np.zeros(dim)
-        e1[i] = 1.0
-        e2[j] = 1.0
-        return cls(e1=e1, e2=e2)
+    @property
+    def axes(self) -> tuple[int, int]:
+        return self.i, self.j
 
     def rotation_matrix(self, theta: float) -> np.ndarray:
         """Rotation by ``theta`` in the plane, identity on its complement."""
@@ -289,7 +279,7 @@ class LocalRotationMap:
         ctr = np.asarray(self.center, dtype=float)
         if ctr.shape != (DIM,):
             raise ValueError("center must be a 9-vector")
-        if self.plane.e1.shape != (DIM,):
+        if self.plane.dim != DIM:
             raise ValueError(f"rotation plane must live in dimension {DIM}")
         object.__setattr__(self, "center", ctr)
 

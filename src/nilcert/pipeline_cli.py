@@ -51,6 +51,7 @@ from .cone_certifier import (
     EXPANDING_AXES,
     ExtractionStats,
     LinearDynamics,
+    _axes_frame,
     bunching_report,
     find_domination_exponent,
     principal_angle,
@@ -374,19 +375,18 @@ def _default_annuli(
     return AnnulusSpec(l1 * g1, l2 / g1), upper
 
 
-def _expanding_eigenspace_angle(final_matrix: np.ndarray) -> tuple[int, float]:
+def _expanding_eigenspace_angle(
+    final_matrix: np.ndarray, axes: tuple[int, int]
+) -> tuple[int, float]:
     """Dimension of the expanding eigenspace and its principal angle to
-    the expected coordinate block (second in-plane axis plus the
-    expanding block)."""
+    the expected coordinate block: the rotation's axes with the
+    expanding block, in ascending axis order."""
     evals, vecs = np.linalg.eig(final_matrix)
     cols = [k for k in range(final_matrix.shape[0]) if abs(evals[k]) > 1.0]
     frame = np.real_if_close(vecs[:, cols], tol=1e6)
     frame = np.asarray(frame, dtype=float)
     q, _ = np.linalg.qr(frame)
-    target_axes = (3,) + tuple(EXPANDING_AXES)
-    target = np.zeros((final_matrix.shape[0], len(target_axes)))
-    for j, ax in enumerate(target_axes):
-        target[ax, j] = 1.0
+    target = _axes_frame(sorted(set(axes) | set(EXPANDING_AXES)), final_matrix.shape[0])
     if q.shape[1] != target.shape[1]:
         return len(cols), math.pi / 2.0
     return len(cols), principal_angle(q, target)
@@ -400,9 +400,7 @@ def _stage_planner(
 ) -> tuple[dict, Optional[PlanStep]]:
     """Label the spectrum, plan the collapse, verify the planned spectrum.
 
-    Returns the plan's step only when the plan passes, and a plan passes
-    only with a single step.  Every single-step plan turns a coordinate
-    plane, the planes on which the rotation kernels are exact.
+    Returns the plan's one rotation step only when the plan passes.
     """
     l1, l2, l3 = eig.values
     frag: dict = {
@@ -426,8 +424,9 @@ def _stage_planner(
         frag["error"] = f"planning failed: {exc}"
         return frag, None
     frag["plan"] = plan.to_json_dict()
+    step = plan.steps[0]
     final = apply_plan(np.diag(auto.diag), plan)
-    dim_exp, angle = _expanding_eigenspace_angle(final)
+    dim_exp, angle = _expanding_eigenspace_angle(final, step.axes)
     frag["expanding_eigenspace"] = {
         "dimension": dim_exp,
         "principal_angle_to_expected": angle,
@@ -436,25 +435,20 @@ def _stage_planner(
     frag["planned_moduli"] = sorted(float(m) for m in moduli)
     errors = []
     if not (
-        len(plan.steps) == 1
-        and dim_exp == 4
+        dim_exp == 4
         and angle < 1e-8
         and bool(np.all(np.abs(moduli - 1.0) > 1e-6))
     ):
         errors.append("planned spectrum failed verification")
-    # plan.avoidance holds one result per (step, annulus), annuli innermost.
-    for k, res in enumerate(plan.avoidance):
+    # plan.avoidance holds one result per annulus, lower then upper.
+    for name, ann, res in zip(("lower", "upper"), annuli, plan.avoidance):
         if not res.certified:
-            name = ("lower", "upper")[k % 2]
-            ann = annuli[k % 2]
             errors.append(
                 f"avoidance of the {name} annulus [{ann.alpha_q:.6g}, "
-                f"{ann.beta_q:.6g}] on step {k // 2 + 1} not certified: "
-                + res.describe()
+                f"{ann.beta_q:.6g}] not certified: " + res.describe()
             )
     if errors:
         return _with_status(frag, errors), None
-    (step,) = plan.steps
     return _with_status(frag, []), step
 
 
@@ -615,6 +609,13 @@ def _unconverged(**extractions: ExtractionStats) -> list[str]:
             for name, e in extractions.items() if not e.converged]
 
 
+def _extraction_json(e: ExtractionStats) -> dict:
+    """An extraction's statistics for the report.  A single round has no
+    increment and a gap of ``inf``, written as null: strict JSON has no
+    infinity."""
+    return dataclasses.asdict(dataclasses.replace(e, gap=None if e.gap == math.inf else e.gap))
+
+
 def _stage_rates(
     config: PipelineConfig, con: Construction, dyn: DeformedMap, exponent: int
 ) -> dict:
@@ -628,7 +629,7 @@ def _stage_rates(
             eps_rate=config.rate_eps,
             sample_count=config.sample_count,
             inner_scale=config.inner_scale,
-            plane_axes=con.step.axes,
+            rotation_axes=con.step.axes,
             seed=config.seed,
         )
         for d in (dyn, LinearDynamics(con.auto, con.lattice))
@@ -653,7 +654,7 @@ def _stage_rates(
             "u_min_above": deformed.u_bound,
         },
         "bullets": list(deformed.bullets),
-        "extraction": dataclasses.asdict(deformed.extraction),
+        "extraction": _extraction_json(deformed.extraction),
         "bunching": {
             "nu": deformed.nu,
             "nu_hat": deformed.nu_hat,
@@ -668,7 +669,7 @@ def _stage_rates(
             "nu_hat_measured": undeformed.nu_hat,
             "nu_abs_error": repro_nu,
             "nu_hat_abs_error": repro_nu_hat,
-            "extraction": dataclasses.asdict(undeformed.extraction),
+            "extraction": _extraction_json(undeformed.extraction),
         },
     }
     errors = _unconverged(deformed=deformed.extraction, undeformed=undeformed.extraction)
@@ -719,7 +720,7 @@ def _stage_sweep(config: PipelineConfig, con: Construction) -> dict:
         "final_deviation": ladder[-1] if ladder else None,
         "control_deviation": control,
         "warnings": warnings,
-        "extraction": dataclasses.asdict(points[-1].extraction),
+        "extraction": _extraction_json(points[-1].extraction),
     }
     errors = _unconverged(stacked=points[-1].extraction)
     if not (strictly_decreasing and ladder and ladder[-1] < 1e-3 and control == 0.0):
@@ -910,69 +911,112 @@ def cmd_plan(config: PipelineConfig) -> int:
     return EXIT_PASS if con is not None else EXIT_CERTIFICATION_FAILURE
 
 
-def _print_certification_diagnostics(frag: dict) -> None:
-    witness = frag.get("witness", {})
+class _NotAReport(ValueError):
+    """Raised by ``nilcert report`` for valid JSON not shaped as a report."""
+
+
+_REQUIRED = object()
+_KINDS = {dict: "an object", list: "an array", float: "a number"}
+
+
+def _typed(value, kind: type, what: str):
+    """``value``, checked to be of type ``kind`` (``float`` takes any JSON
+    number, not a boolean); :class:`_NotAReport` names ``what`` otherwise."""
+    types = (int, float) if kind is float else kind
+    if not isinstance(value, types) or (kind is float and isinstance(value, bool)):
+        raise _NotAReport(f"{what} is not {_KINDS[kind]}")
+    return value
+
+
+def _field(obj: dict, key: str, kind: type = object, default=_REQUIRED):
+    """``obj[key]`` checked by :func:`_typed`, or ``default`` when ``key``
+    is absent and a default is given."""
+    if key in obj:
+        return _typed(obj[key], kind, repr(key))
+    if default is _REQUIRED:
+        raise _NotAReport(f"{key!r} is missing")
+    return default
+
+
+def _certification_diagnostics(frag: dict) -> list[str]:
+    lines = []
+    witness = _field(frag, "witness", dict, {})
     if "lambda_cap" in witness:
-        print(f"    multiplier cap {witness['lambda_cap']:g}, reached per annulus: "
-              f"{witness['lambda_at_cap']}")
-    rob = frag.get("robustness", {})
+        lines.append(f"    multiplier cap {_field(witness, 'lambda_cap', float):g}, reached per "
+                     f"annulus: {_field(witness, 'lambda_at_cap')}")
+    rob = _field(frag, "robustness", dict, {})
     if "fallbacks" in rob:
-        print(f"    Monte Carlo: {rob['failures']} failures in {rob['trials']} trials, "
-              f"{rob['fallbacks']} Cholesky fallbacks")
+        lines.append(f"    Monte Carlo: {_field(rob, 'failures')} failures in "
+                     f"{_field(rob, 'trials')} trials, {rob['fallbacks']} Cholesky fallbacks")
+    return lines
 
 
-def _print_extraction(frag: dict) -> None:
-    ext = frag.get("extraction")
-    if ext:
-        print(f"    extraction: {ext['steps_used']} steps, gap {ext['gap']:.3e}, "
-              f"converged {ext['converged']}")
+def _rates_diagnostics(frag: dict) -> list[str]:
+    bunching = _field(frag, "bunching", dict, {})
+    if "margin" not in bunching:
+        return []
+    margin, nu, nu_hat = (_field(bunching, k, float) for k in ("margin", "nu", "nu_hat"))
+    return [f"    bunching margin {margin:.6g} (nu {nu:.6g}, nu_hat {nu_hat:.6g})"]
 
 
-def _print_rates_diagnostics(frag: dict) -> None:
-    bunching = frag.get("bunching", {})
-    if "margin" in bunching:
-        print(f"    bunching margin {bunching['margin']:.6g} "
-              f"(nu {bunching['nu']:.6g}, nu_hat {bunching['nu_hat']:.6g})")
-
-
-def _print_sweep_diagnostics(frag: dict) -> None:
-    for p in frag.get("points", []):
-        print(f"    support_scale {p['support_scale']:.6e} -> deviation {p['deviation']:.6e}")
+def _sweep_diagnostics(frag: dict) -> list[str]:
+    lines = []
+    for p in _field(frag, "points", list, []):
+        _typed(p, dict, "a sweep point")
+        lines.append(f"    support_scale {_field(p, 'support_scale', float):.6e} -> "
+                     f"deviation {_field(p, 'deviation', float):.6e}")
     if "strictly_decreasing" in frag:
-        print(f"    strictly decreasing: {frag['strictly_decreasing']}")
+        lines.append(f"    strictly decreasing: {frag['strictly_decreasing']}")
+    return lines
 
 
 _STAGE_DIAGNOSTICS = {
-    "certification": _print_certification_diagnostics,
-    "rates": _print_rates_diagnostics,
-    "sweep": _print_sweep_diagnostics,
+    "certification": _certification_diagnostics,
+    "rates": _rates_diagnostics,
+    "sweep": _sweep_diagnostics,
 }
+
+
+def _report_lines(report) -> list[str]:
+    """The lines ``nilcert report`` prints for a report read from JSON."""
+    _typed(report, dict, "the top level")
+    tool = _field(report, "tool", dict, {})
+    lines = [f"schema {report.get('schema_version')}, tool {tool.get('name')} "
+             f"{tool.get('version')}, written {report.get('timestamp')}"]
+    for name, frag in _field(report, "stages", dict, {}).items():
+        _typed(frag, dict, f"stage {name!r}")
+        lines.append(f"  {name}: {frag.get('status', '?')}")
+        if frag.get("error"):
+            lines.append(f"    error: {frag['error']}")
+        if name in _STAGE_DIAGNOSTICS:
+            lines += _STAGE_DIAGNOSTICS[name](frag)
+        ext = _field(frag, "extraction", dict, {})
+        if ext:
+            gap = "none" if _field(ext, "gap") is None else f"{_field(ext, 'gap', float):.3e}"
+            lines.append(f"    extraction: {_field(ext, 'steps_used')} steps, gap {gap}, "
+                         f"converged {_field(ext, 'converged')}")
+    lines.append(f"verdict: {report.get('verdict')}")
+    return lines
 
 
 def cmd_report(config: PipelineConfig) -> int:
     """Pretty-print a previously written report from the output directory."""
     path = Path(config.out_dir) / "report.json"
     try:
-        report = json.loads(path.read_text())
+        lines = _report_lines(json.loads(path.read_text()))
     except OSError as exc:
         print(f"cannot read report {path}: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
     except json.JSONDecodeError as exc:
         print(f"report {path} is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
-    print(f"schema {report.get('schema_version')}, "
-          f"tool {report.get('tool', {}).get('name')} "
-          f"{report.get('tool', {}).get('version')}, "
-          f"written {report.get('timestamp')}")
-    for name, frag in report.get("stages", {}).items():
-        status = frag.get("status", "?")
-        print(f"  {name}: {status}")
-        if frag.get("error"):
-            print(f"    error: {frag['error']}")
-        if name in _STAGE_DIAGNOSTICS:
-            _STAGE_DIAGNOSTICS[name](frag)
-        _print_extraction(frag)
-    print(f"verdict: {report.get('verdict')}")
+    except RecursionError:
+        print(f"report {path} is nested too deeply to read", file=sys.stderr)
+        return EXIT_INVALID_INPUT
+    except _NotAReport as exc:
+        print(f"not a nilcert report: {exc}", file=sys.stderr)
+        return EXIT_INVALID_INPUT
+    print("\n".join(lines))
     return EXIT_PASS
 
 

@@ -1,32 +1,33 @@
-"""Determinant-preserving eigenvalue surgery by in-plane rotations.
+"""Determinant-preserving eigenvalue surgery by one in-plane rotation.
 
-Given a linear map with simple real spectrum, composing it with a
-rotation in a 2-plane spanned by two of its eigendirections changes the
-two eigenvalues in that plane while preserving their product (the
-in-plane determinant) and leaving the rest of the spectrum untouched.
-This module plans sequences of such rotations that push a chosen
-sub-unit eigenvalue modulus above one — breaking global hyperbolicity
-while keeping a dominated splitting — and provides the supporting
-checks:
+Given a diagonal map with simple real spectrum, composing it with a
+rotation in the coordinate plane of two of its axes changes the two
+eigenvalues in that plane while preserving their product (the in-plane
+determinant) and leaving the rest of the spectrum untouched.  This
+module plans the one such rotation that pushes a sub-unit center
+modulus above one — breaking global hyperbolicity while keeping a
+dominated splitting — and provides the supporting checks:
 
 * :func:`annulus_avoidance` — decides in closed form whether the whole
   rotated family ``R_theta . D`` keeps its eigenvalue moduli outside a
   given annulus: the moving moduli fill two explicit intervals and the
   others stay put.  It certifies the answer with outward rounding; no
   angle is sampled;
-* :func:`plan_center_collapse` — the redistribution plan itself.
+* :func:`plan_center_collapse` — the plan itself, or a
+  :class:`PlanningError` naming why one rotation cannot plan the
+  spectrum.
 
-Planned angles are solved by bisection on the trace, which is monotone
-in ``cos(theta)``; all closed-form identities are used only to seed and
-to cross-check the bisection.
+The planned angle is solved by bisection on the trace, which is
+monotone in ``cos(theta)``; closed-form identities are used only to
+seed and to cross-check the bisection.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import asdict, dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -329,13 +330,17 @@ class LabeledSpectrum:
 
 @dataclass(frozen=True)
 class PlanStep:
-    """One planned in-plane rotation."""
+    """One planned in-plane rotation; ``axes`` are its plane's
+    (promoted center axis, partner axis)."""
 
     plane: RotationPlane
     angle: float
     input_pair: tuple[float, float]
     target_pair: tuple[float, float]
-    axes: tuple[int, int]  # (accumulator seed axis, partner axis)
+
+    @property
+    def axes(self) -> tuple[int, int]:
+        return self.plane.axes
 
     def to_json_dict(self) -> dict:
         return {
@@ -350,97 +355,36 @@ class PlanStep:
 
 @dataclass(frozen=True)
 class RedistributionPlan:
-    """A sequence of in-plane rotations redistributing eigenvalue moduli.
+    """The one in-plane rotation that pushes a center modulus past one.
 
-    ``branch`` is one of ``"modulus_one"`` (a center pair straddling one
-    is rotated so one modulus equals one exactly), ``"single_step"``
-    (one center modulus and the top unstable modulus are replaced by
-    ``(1 + s, product/(1 + s))``) or ``"chain"`` (the general
-    redistribution: each unstable modulus is replaced in turn by ``mu``
-    while the accumulator collects the surplus).
-
-    In the Anosov-breaking branches ``mu > 1`` and the final spectrum
-    has no modulus near one; in the modulus-one branch ``mu == 1``.
+    ``steps`` holds that rotation, and ``mu = 1 + s`` is the modulus it
+    moves the center modulus to.  The JSON form records the step as a
+    one-element ``"steps"`` list under ``"branch": "single_step"``.
     """
 
-    steps: tuple[PlanStep, ...]
+    steps: tuple[PlanStep]
     mu: float
     labels: dict[str, int]
-    branch: str
     final_moduli: tuple[float, ...]
     avoidance: tuple[AvoidanceResult, ...] = ()
     notes: tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.branch not in ("modulus_one", "single_step", "chain"):
-            raise ValueError(f"unknown branch {self.branch!r}")
-        if self.branch == "modulus_one":
-            if self.mu != 1.0:
-                raise ValueError("modulus-one branch must record mu = 1")
-        elif not self.mu > 1.0:
-            raise ValueError("Anosov-breaking branches need mu > 1")
-
     def to_json_dict(self) -> dict:
         return {
-            "branch": self.branch,
+            "branch": "single_step",
             "mu": self.mu,
             "labels": dict(sorted(self.labels.items())),
             "steps": [s.to_json_dict() for s in self.steps],
             "final_moduli": list(self.final_moduli),
             "notes": list(self.notes),
-            "avoidance": [
-                {
-                    "ok": r.ok,
-                    "certified": r.certified,
-                    "margin": r.margin,
-                    "error_bound": r.error_bound,
-                    "grid": r.grid,
-                    "densifications": r.densifications,
-                }
-                for r in self.avoidance
-            ],
+            "avoidance": [asdict(r) for r in self.avoidance],
         }
 
 
 def apply_plan(diag_matrix: np.ndarray, plan: RedistributionPlan) -> np.ndarray:
-    """Compose the planned rotations with the diagonal input map."""
-    m = np.asarray(diag_matrix, dtype=float).copy()
-    for step in plan.steps:
-        m = step.plane.rotation_matrix(step.angle) @ m
-    return m
-
-
-def _acc_eigvec_after_step(
-    plane: RotationPlane,
-    angle: float,
-    v_acc: np.ndarray,
-    e_partner: np.ndarray,
-    pair_in: tuple[float, float],
-    target_big: float,
-) -> np.ndarray:
-    """Eigendirection of the accumulator after one planned rotation.
-
-    Restricted to the rotation plane (in the orthonormal basis
-    ``(v_acc, e_partner)``) the map before the step is
-    ``diag(pair_in)``; the rotated 2x2 block has the accumulator
-    eigenvalue ``target_big`` with an eigenvector computable in closed
-    form, which is then lifted back to the ambient space.
-    """
-    p, q = pair_in
-    ct, st = math.cos(angle), math.sin(angle)
-    a00, a01 = ct * p, -st * q
-    a10, a11 = st * p, ct * q
-    # Solve (A - target) w = 0 via the better-conditioned row.
-    r0 = (a00 - target_big, a01)
-    r1 = (a10, a11 - target_big)
-    row = r0 if math.hypot(*r0) >= math.hypot(*r1) else r1
-    w = np.array([-row[1], row[0]])
-    nw = float(np.hypot(w[0], w[1]))
-    if nw == 0.0:
-        raise PlanningError("degenerate eigenvector in planned 2x2 block")
-    w /= nw
-    v = w[0] * v_acc + w[1] * e_partner
-    return v / float(np.linalg.norm(v))
+    """Compose the planned rotation with the diagonal input map."""
+    (step,) = plan.steps
+    return step.plane.rotation_matrix(step.angle) @ np.asarray(diag_matrix, dtype=float)
 
 
 def plan_center_collapse(
@@ -451,28 +395,21 @@ def plan_center_collapse(
     dim: int = DIM,
     product_tol: float = 1e-9,
 ) -> RedistributionPlan:
-    """Plan rotations that collapse the center by pushing one modulus past one.
+    """Plan the rotation that collapses the center by pushing one modulus past one.
 
-    Branches, in order of precedence:
+    The largest center modulus ``c`` below one is paired with the largest
+    unstable modulus ``u``.  If ``c u / (1 + s)`` exceeds both the rest of
+    the unstable moduli and ``1 + s``, one rotation in the coordinate
+    plane of their axes replaces the pair by ``(1 + s, c u / (1 + s))``;
+    among equal center moduli the smallest axis is promoted.  The rotation
+    is checked against the supplied domination annuli over its full
+    range.
 
-    1. *modulus-one*: if two center moduli straddle one, a single
-       rotation in their plane replaces them by ``(1, product)``.
-    2. *single-step*: a center modulus ``c`` below one is paired with
-       the largest unstable modulus ``u``; if ``c u / (1 + s)`` still
-       exceeds every remaining unstable modulus (and ``1 + s``), one
-       rotation replaces the pair by ``(1 + s, c u / (1 + s))``.
-    3. *chain*: otherwise ``mu`` is set to the geometric midpoint of its
-       feasible interval ``(1, min(u_min, (c * prod(u))^(1/2m)))`` and the
-       unstable moduli are consumed in ascending order: step ``i``
-       rotates the current accumulator against ``u_i``, replacing the
-       pair ``(pi_i, u_i)`` by ``(pi_i u_i / mu, mu)``.  Each step
-       preserves its in-plane product, so the final accumulated modulus
-       is ``mu^(-m) c u_1 ... u_m > mu^m``.
-
-    Every step is checked against the supplied domination annuli over
-    its full rotation range.  Infeasible configurations (no center below
-    one, empty ``mu`` interval, unreachable per-step trace, annulus
-    violation) raise :class:`PlanningError` with a diagnostic.
+    Every spectrum that one such step cannot plan raises
+    :class:`PlanningError` naming the reason: no center modulus, a product
+    other than one, ``1 + s`` not above one, a center that straddles one
+    or lies above it, no unstable modulus, ``c u / (1 + s)`` not above
+    ``max(rest, 1 + s)``, an unreachable trace, or an annulus violation.
     """
     if not eigs.center:
         raise PlanningError("no center moduli to collapse")
@@ -480,71 +417,25 @@ def plan_center_collapse(
         raise PlanningError(
             f"moduli product {eigs.product():.12g} is not 1 within {product_tol}"
         )
-    if not (s > 0):
-        raise PlanningError("target surplus s must be positive")
+    target_small = 1.0 + s
+    if not (target_small > 1.0):
+        raise PlanningError("target modulus 1 + s must exceed one")
 
-    # The planned modulus on each axis, updated by each step's target pair.
-    moduli = eigs.diagonal_matrix(dim).diagonal().tolist()
-    notes: list[str] = []
-    avoidance: list[AvoidanceResult] = []
-
-    def run_avoidance(step: PlanStep) -> None:
-        fixed = [m for k, m in enumerate(moduli) if k not in step.axes]
-        for ann in annuli:
-            res = annulus_avoidance(step.input_pair, fixed, step.angle, ann, grid)
-            avoidance.append(res)
-            if not res.ok:
-                raise PlanningError(
-                    "planned rotation violates a domination annulus "
-                    f"[{ann.alpha_q:.6g}, {ann.beta_q:.6g}]: " + res.describe()
-                )
-        moduli[step.axes[0]], moduli[step.axes[1]] = step.target_pair
-
-    def final_moduli() -> tuple[float, ...]:
-        """The planned moduli on the labelled axes, ascending."""
-        labelled = eigs.stable + eigs.center + eigs.unstable
-        return tuple(sorted(moduli[a] for _, a in labelled))
-
-    centers = sorted(eigs.center)  # ascending by modulus
     # Tie-breaks are fixed for determinism: among equal moduli the smallest
     # axis index is preferred.
     below = sorted(
-        (cv for cv in centers if cv[0] < 1.0), key=lambda t: (t[0], -t[1])
+        (cv for cv in eigs.center if cv[0] < 1.0), key=lambda t: (t[0], -t[1])
     )
-    above = sorted((cv for cv in centers if cv[0] > 1.0))
-
-    # Branch 1: modulus-one.
-    if below and above:
-        (c_lo, ax_lo), (c_hi, ax_hi) = below[-1], above[0]
-        prod = c_lo * c_hi
-        plane = RotationPlane.from_basis_indices(ax_lo, ax_hi, dim=dim)
-        angle = solve_plane_rotation_angle(c_lo, c_hi, 1.0 + prod)
-        step = PlanStep(
-            plane=plane,
-            angle=angle,
-            input_pair=(c_lo, c_hi),
-            target_pair=(1.0, prod),
-            axes=(ax_lo, ax_hi),
-        )
-        run_avoidance(step)
-        notes.append(
-            "modulus-one branch: center pair "
-            f"({c_lo:.6g}, {c_hi:.6g}) rotated to (1, {prod:.6g})"
-        )
-        return RedistributionPlan(
-            steps=(step,),
-            mu=1.0,
-            labels=eigs.counts,
-            branch="modulus_one",
-            final_moduli=final_moduli(),
-            avoidance=tuple(avoidance),
-            notes=tuple(notes),
-        )
-
+    above = sorted(cv for cv in eigs.center if cv[0] > 1.0)
     if not below:
         raise PlanningError(
             "all center moduli exceed one; collapse is planned for the "
             "inverse map in that case and is not implemented here"
+        )
+    if above:
+        raise PlanningError(
+            f"the center straddles one: moduli {below[-1][0]:.6g} and "
+            f"{above[0][0]:.6g}; one step plans only a center below one"
         )
     if not eigs.unstable:
         raise PlanningError("no unstable moduli available for redistribution")
@@ -553,102 +444,44 @@ def plan_center_collapse(
     c_val, c_axis = below[-1]
     unstable = sorted(eigs.unstable)  # ascending
     u_top_val, u_top_axis = unstable[-1]
-
-    # Branch 2: single-step.
     p_total = c_val * u_top_val
-    target_small = 1.0 + s
     target_big = p_total / target_small
     rest_max = unstable[-2][0] if len(unstable) >= 2 else 1.0
-    if target_big > max(rest_max, target_small):
-        plane = RotationPlane.from_basis_indices(c_axis, u_top_axis, dim=dim)
-        angle = solve_plane_rotation_angle(
-            c_val, u_top_val, target_small + target_big
+    if not target_big > max(rest_max, target_small):
+        raise PlanningError(
+            f"one step cannot plan the spectrum: c u/(1 + s) = {target_big:.6g} "
+            f"does not exceed max(rest, 1 + s) = {max(rest_max, target_small):.6g}"
         )
-        step = PlanStep(
-            plane=plane,
-            angle=angle,
-            input_pair=(c_val, u_top_val),
-            target_pair=(target_small, target_big),
-            axes=(c_axis, u_top_axis),
-        )
-        run_avoidance(step)
-        notes.append(
+    step = PlanStep(
+        plane=RotationPlane(c_axis, u_top_axis, dim=dim),
+        angle=solve_plane_rotation_angle(c_val, u_top_val, target_small + target_big),
+        input_pair=(c_val, u_top_val),
+        target_pair=(target_small, target_big),
+    )
+
+    # The planned modulus on each axis: the rotation moves only its pair.
+    moduli = eigs.diagonal_matrix(dim).diagonal().tolist()
+    fixed = [m for k, m in enumerate(moduli) if k not in step.axes]
+    avoidance = []
+    for ann in annuli:
+        res = annulus_avoidance(step.input_pair, fixed, step.angle, ann, grid)
+        avoidance.append(res)
+        if not res.ok:
+            raise PlanningError(
+                "planned rotation violates a domination annulus "
+                f"[{ann.alpha_q:.6g}, {ann.beta_q:.6g}]: " + res.describe()
+            )
+    moduli[c_axis], moduli[u_top_axis] = step.target_pair
+    labelled = eigs.stable + eigs.center + eigs.unstable
+    return RedistributionPlan(
+        steps=(step,),
+        mu=target_small,
+        labels=eigs.counts,
+        final_moduli=tuple(sorted(moduli[a] for _, a in labelled)),
+        avoidance=tuple(avoidance),
+        notes=(
             f"single-step branch: pair ({c_val:.6g}, {u_top_val:.6g}) "
             f"rotated to ({target_small:.6g}, {target_big:.6g}); feasibility "
-            f"{p_total:.6g} > {rest_max:.6g}"
-        )
-        return RedistributionPlan(
-            steps=(step,),
-            mu=target_small,
-            labels=eigs.counts,
-            branch="single_step",
-            final_moduli=final_moduli(),
-            avoidance=tuple(avoidance),
-            notes=tuple(notes),
-        )
-
-    # Branch 3: chain over all unstable moduli, ascending.
-    m_count = len(unstable)
-    u_prod = 1.0
-    for v, _ in unstable:
-        u_prod *= v
-    upper = min(unstable[0][0], (c_val * u_prod) ** (1.0 / (2 * m_count)))
-    if upper <= 1.0:
-        raise PlanningError(
-            "infeasible mu interval: upper bound "
-            f"min(u_min, (c*prod u)^(1/2m)) = {upper:.6g} <= 1"
-        )
-    mu = math.sqrt(upper)  # geometric midpoint of (1, upper)
-
-    steps: list[PlanStep] = []
-    v_acc = np.zeros(dim)
-    v_acc[c_axis] = 1.0
-    acc = c_val
-    for i, (u_val, u_axis) in enumerate(unstable):
-        new_acc = acc * u_val / mu
-        pair_in = (acc, u_val)
-        pair_out = (new_acc, mu)
-        if sum(pair_out) > sum(pair_in) + 1e-12:
-            raise PlanningError(
-                f"chain step {i + 1} infeasible at mu={mu:.6g}: target pair "
-                f"{pair_out} needs trace {sum(pair_out):.6g} > reachable "
-                f"{sum(pair_in):.6g} (mu must lie between the pair moduli)"
-            )
-        e_partner = np.zeros(dim)
-        e_partner[u_axis] = 1.0
-        plane = RotationPlane(e1=v_acc.copy(), e2=e_partner)
-        angle = solve_plane_rotation_angle(acc, u_val, sum(pair_out))
-        # v_acc is orthogonal to e_partner and R_theta - I maps into their
-        # plane, so the moduli off the plane are the bookkept ones.
-        step = PlanStep(
-            plane=plane,
-            angle=angle,
-            input_pair=pair_in,
-            target_pair=pair_out,
-            axes=(c_axis, u_axis),
-        )
-        run_avoidance(step)
-        steps.append(step)
-        v_acc = _acc_eigvec_after_step(
-            plane, angle, v_acc, e_partner, pair_in, new_acc
-        )
-        acc = new_acc
-
-    if not acc > mu**m_count:
-        raise PlanningError(
-            f"final accumulated modulus {acc:.6g} does not exceed "
-            f"mu^m = {mu ** m_count:.6g}"
-        )
-    notes.append(
-        f"chain branch: mu = {mu:.6g} (geometric midpoint of (1, {upper:.6g})), "
-        f"{m_count} steps, final accumulator {acc:.6g} > mu^m = {mu**m_count:.6g}"
-    )
-    return RedistributionPlan(
-        steps=tuple(steps),
-        mu=mu,
-        labels=eigs.counts,
-        branch="chain",
-        final_moduli=final_moduli(),
-        avoidance=tuple(avoidance),
-        notes=tuple(notes),
+            f"{p_total:.6g} > {rest_max:.6g}",
+        ),
     )

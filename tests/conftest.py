@@ -81,7 +81,7 @@ def plane_axes(plan) -> tuple[int, int]:
 
 @pytest.fixture(scope="session")
 def rotation_plane() -> RotationPlane:
-    return RotationPlane.from_basis_indices(3, 8)
+    return RotationPlane(3, 8)
 
 
 @pytest.fixture(scope="session")

@@ -277,8 +277,7 @@ def test_criterion_5_uniform_domination_and_robustness(
             np.array([0.0]),
             witness.exponent,
             ann.beta_q,
-            rotation_plane.e1,
-            rotation_plane.e2,
+            rotation_plane.axes,
             8.0,
             1e-12,
         )

@@ -34,7 +34,7 @@ from nilcert.pipeline_cli import PipelineConfig
 def test_domination_exponent_for_default_construction(
     auto, annuli, collapse_angle
 ):
-    plane = RotationPlane.from_basis_indices(3, 8)
+    plane = RotationPlane(3, 8)
     witness = find_domination_exponent(
         auto.diag, plane, collapse_angle, annuli, n_max=8, grid=256
     )
@@ -53,7 +53,7 @@ def test_domination_exponent_for_default_construction(
 
 
 def test_domination_margins_match_reference_values(auto, annuli, collapse_angle):
-    plane = RotationPlane.from_basis_indices(3, 8)
+    plane = RotationPlane(3, 8)
     witness = find_domination_exponent(
         auto.diag, plane, collapse_angle, annuli, n_max=4, grid=1024
     )
@@ -68,7 +68,7 @@ def test_domination_margins_match_reference_values(auto, annuli, collapse_angle)
 
 
 def test_domination_exhaustion_raises_with_history(auto, annuli, collapse_angle):
-    plane = RotationPlane.from_basis_indices(3, 8)
+    plane = RotationPlane(3, 8)
     with pytest.raises(CertificationError) as err:
         find_domination_exponent(
             auto.diag, plane, collapse_angle, annuli, n_max=1, grid=256
@@ -80,7 +80,7 @@ def test_domination_exhaustion_raises_with_history(auto, annuli, collapse_angle)
 def test_robustness_radius_positive_with_zero_failures(
     auto, annuli, collapse_angle
 ):
-    plane = RotationPlane.from_basis_indices(3, 8)
+    plane = RotationPlane(3, 8)
     report = robustness_radius(
         auto.diag, plane, collapse_angle, annuli, n=2, grid=128, trials=100
     )
@@ -94,7 +94,7 @@ def test_robustness_radius_positive_with_zero_failures(
 def test_batched_cholesky_decides_trials_as_the_full_search(auto, annuli, collapse_angle):
     # At a million times the certified radius some trials fail, and some
     # Cholesky tests fail on trials that the full search still passes.
-    plane = RotationPlane.from_basis_indices(3, 8)
+    plane = RotationPlane(3, 8)
     n, trials, safety = 2, 200, 1e6
     report = robustness_radius(
         auto.diag, plane, collapse_angle, annuli, n=n, grid=128, trials=trials, safety=safety

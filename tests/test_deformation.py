@@ -80,16 +80,20 @@ def test_small_budget_profiles_still_valid():
 
 
 def test_rotation_plane_validation():
-    plane = RotationPlane.from_basis_indices(3, 8)
+    plane = RotationPlane(3, 8)
     r = plane.rotation_matrix(0.7)
     assert abs(np.linalg.det(r) - 1.0) < 1e-12
     assert np.allclose(r @ r.T, np.eye(DIM), atol=1e-12)
-    with pytest.raises(ValueError):
-        RotationPlane(e1=np.ones(DIM), e2=np.ones(DIM))
+    assert plane.axes == (3, 8) and plane == RotationPlane(3, 8, dim=DIM)
+    assert np.array_equal(plane.e1, np.eye(DIM)[3])
+    assert np.array_equal(plane.e2, np.eye(DIM)[8])
+    for i, j in ((3, 3), (3, DIM), (-1, 8)):
+        with pytest.raises(ValueError, match="two distinct basis indices in range"):
+            RotationPlane(i, j)
 
 
 def test_rotation_generator_is_antisymmetric():
-    plane = RotationPlane.from_basis_indices(3, 8)
+    plane = RotationPlane(3, 8)
     gen = plane.generator
     assert np.array_equal(gen, -gen.T)
     # exp(theta * gen) == rotation_matrix(theta) on the plane.
@@ -101,7 +105,7 @@ def test_rotation_generator_is_antisymmetric():
 
 def test_local_rotation_identity_outside_support(profile):
     rot = LocalRotationMap(
-        profile=profile, plane=RotationPlane.from_basis_indices(3, 8)
+        profile=profile, plane=RotationPlane(3, 8)
     )
     rng = np.random.default_rng(0)
     for _ in range(10):
@@ -113,7 +117,7 @@ def test_local_rotation_identity_outside_support(profile):
 
 def test_local_rotation_preserves_radius_and_volume(profile):
     rot = LocalRotationMap(
-        profile=profile, plane=RotationPlane.from_basis_indices(3, 8)
+        profile=profile, plane=RotationPlane(3, 8)
     )
     rng = np.random.default_rng(1)
     for _ in range(50):
@@ -141,7 +145,7 @@ def test_jacobian_matches_finite_differences(profile):
     # so differentiable probes live on the log ramp and at offsets
     # around the outer edge (clear of the finite-difference stencil).
     rot = LocalRotationMap(
-        profile=profile, plane=RotationPlane.from_basis_indices(3, 8)
+        profile=profile, plane=RotationPlane(3, 8)
     )
     edge = profile.support_radius
     radii = [1e-3, 0.006, 0.4 * edge, 0.9 * edge, edge - 1e-5, edge + 1e-5, 2 * edge]
@@ -154,7 +158,7 @@ def test_jacobian_matches_finite_differences_at_blend_seams():
     wide = make_profile(1.1390942143376726, 1.0)
     assert wide.lo_blend and wide.hi_blend
     rot = LocalRotationMap(
-        profile=wide, plane=RotationPlane.from_basis_indices(3, 8)
+        profile=wide, plane=RotationPlane(3, 8)
     )
     b, w = wide.b, wide.w
     offset = 1e-5
@@ -172,7 +176,7 @@ def test_jacobian_matches_finite_differences_at_blend_seams():
 
 def test_jacobian_stays_near_pointwise_rotation(profile):
     rot = LocalRotationMap(
-        profile=profile, plane=RotationPlane.from_basis_indices(3, 8)
+        profile=profile, plane=RotationPlane(3, 8)
     )
     plane = rot.plane
     rng = np.random.default_rng(3)
@@ -266,7 +270,7 @@ def test_inverse_step_jacobian_matches_forward_step(deformed):
 def test_support_must_fit_in_chart(auto, lattice, collapse_angle):
     profile = make_profile(collapse_angle, 0.05)
     rot = LocalRotationMap(
-        profile=profile, plane=RotationPlane.from_basis_indices(3, 8)
+        profile=profile, plane=RotationPlane(3, 8)
     )
     with pytest.raises(DeformationError):
         DeformedMap(auto=auto, rotation=rot, lattice=lattice, chart_radius=0.01)

@@ -16,21 +16,20 @@ import numpy as np
 import pytest
 
 from nilcert import _kernels
-from nilcert.cone_certifier import find_domination_exponent, robustness_radius
 from nilcert.deformation import LocalRotationMap, RotationPlane, make_profile
 from nilcert.nilmanifold import DIM
 
 ANGLE = 1.1390942143376726  # the default construction's collapse angle
-PLANE = RotationPlane.from_basis_indices(3, 8)
+PLANE = RotationPlane(3, 8)
 
 
-def _ref_grid_domination_margins(diag, thetas, n, tau, e1, e2, lam_hi, tol):
+def _ref_grid_domination_margins(diag, thetas, n, tau, axes, lam_hi, tol):
     """The 9x9 search per theta: (margin, multiplier) and the norm of
     S_tgt - lam S_img at the multiplier, shape (len(thetas), 3)."""
     dim = diag.shape[0]
     out = np.zeros((thetas.shape[0], 3))
     for k, theta in enumerate(thetas):
-        r = RotationPlane(e1, e2).rotation_matrix(float(theta))
+        r = RotationPlane(*axes).rotation_matrix(float(theta))
         m = np.linalg.matrix_power(r * diag, n) * tau ** (-float(n))
         minv = np.linalg.inv(m)
         s_tgt = m.T @ m - np.eye(dim)
@@ -218,7 +217,7 @@ def test_block_margins_match_the_9x9_search(auto, annuli, collapse_angle, n):
     diag = np.asarray(auto.diag, dtype=float)
     thetas = np.linspace(0.0, collapse_angle, 128)
     for ann in annuli:
-        args = (diag, thetas, n, ann.beta_q, PLANE.e1, PLANE.e2, 8.0, 1e-12)
+        args = (diag, thetas, n, ann.beta_q, PLANE.axes, 8.0, 1e-12)
         block = _kernels.grid_domination_margins(*args)
         ref = _ref_grid_domination_margins(*args)
         tol = 8.0 * np.finfo(float).eps * ref[:, 2]
@@ -252,22 +251,12 @@ def test_block_margins_lie_within_their_rounding_bound(auto, annuli, collapse_an
     thetas = np.array([0.0, 0.3, collapse_angle])
     for ann in annuli:
         res = _kernels.grid_domination_margins(
-            diag, thetas, n, ann.beta_q, PLANE.e1, PLANE.e2, 8.0, 1e-12
+            diag, thetas, n, ann.beta_q, PLANE.axes, 8.0, 1e-12
         )
         for theta, (margin, lam, bound) in zip(thetas, res):
             assert 0.0 < bound < 1e-4 * max(1.0, abs(margin))
             exact = _exact_margin(diag, float(theta), n, ann.beta_q, lam)
             assert abs(mpmath.mpf(margin) - exact) <= bound
-
-
-def test_block_form_rejects_a_plane_off_the_axes(auto, annuli, collapse_angle):
-    tilted = RotationPlane(
-        np.eye(DIM)[3], (np.eye(DIM)[4] + np.eye(DIM)[8]) / math.sqrt(2.0)
-    )
-    with pytest.raises(ValueError, match="coordinate plane"):
-        find_domination_exponent(auto.diag, tilted, collapse_angle, annuli, grid=16)
-    with pytest.raises(ValueError, match="coordinate plane"):
-        robustness_radius(auto.diag, tilted, collapse_angle, annuli, n=2, grid=16, trials=4)
 
 
 def test_rump_criterion_proves_only_clear_positive_definiteness():

@@ -22,6 +22,7 @@ from nilcert.pipeline_cli import (
     EXIT_INVALID_INPUT,
     EXIT_PASS,
     PipelineConfig,
+    build_construction,
     main,
     run_pipeline,
 )
@@ -259,11 +260,15 @@ def test_unconverged_extraction_fails_its_stage(tmp_path, capsys, monkeypatch):
     code = main(["certify", "--config", cfg, "--out", str(out_dir)])
     capsys.readouterr()
     assert code == EXIT_CERTIFICATION_FAILURE
-    report = json.loads((out_dir / "report.json").read_text())
+
+    def strict(name):
+        raise ValueError(f"{name} is not strict JSON")
+
+    report = json.loads((out_dir / "report.json").read_text(), parse_constant=strict)
     assert report["verdict"] == "FAIL"
     assert report["failures"] == ["rates", "sweep"]
     rates, sweep = report["stages"]["rates"], report["stages"]["sweep"]
-    unconverged = {"steps_used": 15, "gap": math.inf, "converged": False}
+    unconverged = {"steps_used": 15, "gap": None, "converged": False}
     for ext in (rates["extraction"], rates["undeformed_oracle"]["extraction"], sweep["extraction"]):
         assert ext == unconverged
     # The frames still give passing rates and ladder; only convergence fails.
@@ -272,6 +277,8 @@ def test_unconverged_extraction_fails_its_stage(tmp_path, capsys, monkeypatch):
         assert frag["error"] == "; ".join(
             f"{name} extraction did not converge in 15 steps: gap inf" for name in names
         )
+    assert main(["report", "--out", str(out_dir)]) == EXIT_PASS
+    assert "    extraction: 15 steps, gap none, converged False" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
@@ -329,22 +336,57 @@ def test_sweep_support_warns_when_probes_touch_support(tmp_path, capsys):
     assert code in (EXIT_PASS, EXIT_CERTIFICATION_FAILURE)
 
 
-def test_rejected_plan_ends_the_report(tmp_path, capsys):
-    # The modulus-one branch plans a modulus of exactly one, which the
-    # planner stage rejects; no later stage runs on the rejected map.
-    cfg = _write_config(
-        tmp_path,
-        {"surplus": 0.29, "annuli": [[0.087, 0.179], [40.8, 41.7]]},
-    )
+def _certify_planner_failure(tmp_path, extra):
+    """The report of a certify run that the planner stage ends."""
+    cfg = _write_config(tmp_path, extra)
     out_dir = tmp_path / "out"
     code = main(["certify", "--config", cfg, "--out", str(out_dir)])
-    capsys.readouterr()
     assert code == EXIT_CERTIFICATION_FAILURE
     report = json.loads((out_dir / "report.json").read_text())
     assert report["verdict"] == "FAIL"
     assert report["failures"] == ["planner"]
     assert list(report["stages"]) == ["matrix", "nilmanifold", "planner"]
-    assert report["stages"]["planner"]["plan"]["branch"] == "modulus_one"
+    assert "plan" not in report["stages"]["planner"]
+    return report
+
+
+def test_rejected_plan_ends_the_report(tmp_path, capsys):
+    # These annuli put a center modulus on either side of one.  One step
+    # would have to plan a modulus of exactly one, so the planner raises
+    # and no later stage runs.
+    report = _certify_planner_failure(
+        tmp_path, {"surplus": 0.29, "annuli": [[0.087, 0.179], [40.8, 41.7]]}
+    )
+    capsys.readouterr()
+    assert report["stages"]["planner"]["error"] == (
+        "planning failed: the center straddles one: moduli 0.426022 and "
+        "8.29086; one step plans only a center below one"
+    )
+
+
+def test_surplus_beyond_one_step_ends_the_report(tmp_path, capsys):
+    # l2 l3^2 / 4 = 7.32 no longer exceeds l3 = 8.29, so the spectrum
+    # would need more than one rotation.
+    report = _certify_planner_failure(tmp_path, {"surplus": 3.0})
+    capsys.readouterr()
+    assert report["stages"]["planner"]["error"] == (
+        "planning failed: one step cannot plan the spectrum: c u/(1 + s) = "
+        "7.32101 does not exceed max(rest, 1 + s) = 8.29086"
+    )
+
+
+PLAN_FAMILY = Path(__file__).parent / "data" / "plan_family.json"
+
+
+def test_plan_family_fragments_are_pinned():
+    # The planner fragments of the benchmark's four companion matrices
+    # and of (20, 9), recorded beside the golden report.
+    for entry in json.loads(PLAN_FAMILY.read_text()):
+        stages, con = build_construction(
+            PipelineConfig(matrix=tuple(map(tuple, entry["matrix"])))
+        )
+        assert con is not None
+        assert json.loads(json.dumps(stages["planner"])) == entry["planner"]
 
 
 def test_plan_command_prints_plan(capsys):
@@ -423,6 +465,53 @@ def test_report_command_prints_rates_and_sweep_diagnostics(tmp_path, capsys):
 
 def test_report_command_missing_file(tmp_path, capsys):
     assert main(["report", "--out", str(tmp_path)]) == EXIT_INVALID_INPUT
+
+
+_NULL_GAP = {"stages": {"rates": {"status": "fail", "extraction": {
+    "steps_used": 15, "gap": None, "converged": False}}}}
+
+
+@pytest.mark.parametrize(
+    "text, code, line",
+    [
+        ("[]", EXIT_INVALID_INPUT, "not a nilcert report: the top level is not an object"),
+        ('{"stages": []}', EXIT_INVALID_INPUT, "not a nilcert report: 'stages' is not an object"),
+        (json.dumps(_NULL_GAP), EXIT_PASS, "    extraction: 15 steps, gap none, converged False"),
+        (json.dumps(_NULL_GAP).replace("null", '"0"'), EXIT_INVALID_INPUT,
+         "not a nilcert report: 'gap' is not a number"),
+        ("[" * 5000 + "]" * 5000, EXIT_INVALID_INPUT, "nested too deeply to read"),
+    ],
+    ids=["array", "stages-array", "null-gap", "string-gap", "deep-nesting"],
+)
+def test_report_command_rejects_json_that_is_not_a_report(tmp_path, capsys, text, code, line):
+    (tmp_path / "report.json").write_text(text)
+    assert main(["report", "--out", str(tmp_path)]) == code
+    captured = capsys.readouterr()
+    assert line in (captured.out if code == EXIT_PASS else captured.err)
+
+
+_REPORT_KEYS = st.sampled_from([
+    "schema_version", "tool", "name", "version", "stages", "status", "error",
+    "certification", "witness", "lambda_cap", "lambda_at_cap", "robustness",
+    "failures", "trials", "fallbacks", "rates", "bunching", "margin", "nu",
+    "nu_hat", "sweep", "points", "support_scale", "deviation",
+    "strictly_decreasing", "extraction", "steps_used", "gap", "converged",
+])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_REPORT_KEYS | st.text(max_size=2), inner, max_size=5),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(report=_JSON)
+def test_report_command_never_exits_internal_error(report):
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "report.json").write_text(json.dumps(report))
+        code = main(["report", "--out", tmp])
+    assert code in (EXIT_PASS, EXIT_INVALID_INPUT)
 
 
 def test_seed_and_grid_flags_override_config(tmp_path, capsys):

@@ -54,7 +54,8 @@ def test_labeled_spectrum_rejects_modulus_inside_annulus(annuli):
 
 def test_plan_single_step_branch_for_default_spectrum(plan, eigendata):
     l1, l2, l3 = eigendata.values
-    assert plan.branch == "single_step"
+    assert len(plan.steps) == 1
+    assert plan.to_json_dict()["branch"] == "single_step"
     assert plan.mu == 1.05
     step = plan.steps[-1]
     assert step.axes == (3, 8)
@@ -76,11 +77,21 @@ def test_planned_angle_matches_trace_equation(plan, eigendata):
 
 
 def _chain_spectrum():
+    # Two unstable moduli of which the smaller exceeds c u / (1 + s).
     stable = tuple((0.9 * 1.1 * 1.25) ** (-1.0 / 6.0) for _ in range(6))
     return LabeledSpectrum(
         stable=tuple((s, i) for i, s in enumerate(stable)),
         center=((0.9, 6),),
         unstable=((1.1, 7), (1.25, 8)),
+    )
+
+
+def _three_unstable_spectrum():
+    stable = tuple((0.8 * 1.3**3) ** (-1.0 / 5.0) for _ in range(5))
+    return LabeledSpectrum(
+        stable=tuple((s, i) for i, s in enumerate(stable)),
+        center=((0.8, 5),),
+        unstable=((1.3, 6), (1.3, 7), (1.3, 8)),
     )
 
 
@@ -96,12 +107,21 @@ def _modulus_one_spectrum():
     )
 
 
+def _six_dim_spectrum():
+    # One step plans it: 0.95 * 5 / 1.05 exceeds the other unstable modulus.
+    scale = (0.9 * 0.95 * 2.0 * 5.0) ** (-1.0 / 2.0)
+    return LabeledSpectrum(
+        stable=((scale, 0), (scale, 1)),
+        center=((0.9, 2), (0.95, 3)),
+        unstable=((2.0, 4), (5.0, 5)),
+    )
+
+
 def test_plan_eigenvalue_bookkeeping_is_exact(plan, auto):
-    cases = [(np.diag(auto.diag), plan)]
-    for eigs, dim in ((_chain_spectrum(), 9), (_modulus_one_spectrum(), 6)):
-        other = plan_center_collapse(eigs, s=0.05, annuli=(), dim=dim)
-        cases.append((eigs.diagonal_matrix(dim), other))
-    assert [p.branch for _, p in cases] == ["single_step", "chain", "modulus_one"]
+    six = _six_dim_spectrum()
+    six_plan = plan_center_collapse(six, s=0.05, annuli=(), dim=6)
+    assert six_plan.steps[0].axes == (3, 5)
+    cases = [(np.diag(auto.diag), plan), (six.diagonal_matrix(6), six_plan)]
     for diagonal, p in cases:
         final = apply_plan(diagonal, p)
         expected = sorted(p.final_moduli)
@@ -146,35 +166,24 @@ def test_solve_plane_rotation_angle_reaches_monotone_targets():
         solve_plane_rotation_angle(p, q, p + q + 1.0)
 
 
-def test_chain_branch_feasible_example():
-    eigs = _chain_spectrum()
-    plan = plan_center_collapse(eigs, s=0.05, annuli=(), dim=9)
-    assert plan.branch == "chain"
-    assert len(plan.steps) == 2
-    assert plan.mu > 1.0
-    # Executing the plan preserves the product.
-    final = apply_plan(np.diag(eigs.diagonal_matrix(9).diagonal()), plan)
-    assert abs(abs(np.linalg.det(final)) - 1.0) < 1e-9
+@pytest.mark.parametrize(
+    "spectrum, bound",
+    [(_chain_spectrum, "1.07143 does not exceed max(rest, 1 + s) = 1.1"),
+     (_three_unstable_spectrum, "0.990476 does not exceed max(rest, 1 + s) = 1.3")],
+    ids=["feasible-chain", "infeasible-chain"],
+)
+def test_chain_spectrum_is_not_planned(spectrum, bound):
+    # Each unstable modulus but the largest stays above c u / (1 + s), so
+    # the spectrum would need one rotation per unstable modulus.
+    with pytest.raises(PlanningError) as info:
+        plan_center_collapse(spectrum(), s=0.05, annuli=(), dim=9)
+    assert str(info.value) == "one step cannot plan the spectrum: c u/(1 + s) = " + bound
 
 
-def test_chain_branch_infeasible_reports_step():
-    stable = tuple(
-        (0.8 * 1.3**3) ** (-1.0 / 5.0) for _ in range(5)
-    )
-    eigs = LabeledSpectrum(
-        stable=tuple((s, i) for i, s in enumerate(stable)),
-        center=((0.8, 5),),
-        unstable=((1.3, 6), (1.3, 7), (1.3, 8)),
-    )
-    with pytest.raises(PlanningError, match="step"):
-        plan_center_collapse(eigs, s=0.05, annuli=(), dim=9)
-
-
-def test_modulus_one_branch():
-    # A center pair straddling one collapses onto modulus exactly one.
-    plan = plan_center_collapse(_modulus_one_spectrum(), s=0.05, annuli=(), dim=6)
-    assert plan.branch == "modulus_one"
-    assert plan.mu == 1.0
+def test_straddling_center_is_not_planned():
+    # One step would have to plan a modulus of exactly one.
+    with pytest.raises(PlanningError, match="the center straddles one: moduli 0.9 and 1.11111"):
+        plan_center_collapse(_modulus_one_spectrum(), s=0.05, annuli=(), dim=6)
 
 
 def test_all_centers_above_one_not_supported():
@@ -203,7 +212,7 @@ def test_avoidance_zero_angle_single_point(auto, annuli):
         assert res.ok and res.certified and res.grid == 1024
         assert res.margin == min(ann.distance(float(m)) for m in auto.diag)
         ok, margin = _reference_avoidance(
-            np.diag(auto.diag), RotationPlane.from_basis_indices(3, 8), 0.0, ann
+            np.diag(auto.diag), RotationPlane(3, 8), 0.0, ann
         )
         assert (res.ok, res.margin) == (ok, margin)
     with pytest.raises(ValueError):
@@ -221,7 +230,7 @@ def test_avoidance_detects_violation(auto, annuli):
     assert res.margin == annuli[0].distance(mid) < 0
     assert "inside the annulus" in res.describe()
     ok, margin = _reference_avoidance(
-        np.diag(diag), RotationPlane.from_basis_indices(3, 8), 0.5, annuli[0]
+        np.diag(diag), RotationPlane(3, 8), 0.5, annuli[0]
     )
     assert not ok and res.margin == margin
     # A moving modulus: rotating (0.426, 68.7) by the planned angle sweeps
@@ -301,7 +310,7 @@ def test_avoidance_certifies_the_plan_family(ts):
     # (20, 9) has the family's thinnest lower margin, 2.1e-2.
     diag, plan, annuli = _companion_case(*ts)
     step = plan.steps[-1]
-    assert plan.branch == "single_step"
+    assert len(plan.steps) == 1
     assert [r.certified for r in plan.avoidance] == [True, True]
     for res, ann in zip(plan.avoidance, annuli):
         assert (res.grid, res.densifications) == (1024, 0)
@@ -315,28 +324,31 @@ def test_avoidance_certifies_the_plan_family(ts):
 
 
 def test_batched_avoidance_matches_reference_on_chain_plan():
-    """Chain steps rotate a non-diagonal map.  The closed form decides the
-    planned family from the bookkept moduli; the oracle samples ``eig`` of
-    the accumulated float matrix, which is nearly defective near the end of
-    the second step, so only ``ok`` and the one-sided margin bound are
-    compared.  Every step certifies."""
-    eigs = _chain_spectrum()
+    """The two steps a chain of rotations planned for ``_chain_spectrum``:
+    each rotates a pair of bookkept moduli, with the rest fixed, over
+    ranges thinner than 0.12 and near the pair's realification angle.  On
+    the diagonal map of those moduli the closed form agrees with the
+    per-angle oracle, as the recorded margins do."""
     annuli = (AnnulusSpec(0.5, 0.8), AnnulusSpec(1.5, 2.0))
-    plan = plan_center_collapse(eigs, s=0.05, annuli=annuli, grid=256, dim=9)
-    assert plan.branch == "chain" and len(plan.avoidance) == 4
-    assert all(res.ok and res.certified for res in plan.avoidance)
-    assert plan.avoidance[2].margin == pytest.approx(0.16398, rel=1e-4)
-    current = eigs.diagonal_matrix(9)
-    results = iter(plan.avoidance)
-    for step in plan.steps:
+    stable = [m for m, _ in _chain_spectrum().stable]
+    mu = math.sqrt(min(1.1, (0.9 * 1.1 * 1.25) ** 0.25))
+    acc = 0.9 * 1.1 / mu
+    steps = [
+        ((0.9, 1.1), stable + [1.25], acc + mu),
+        ((acc, 1.25), stable + [mu], acc * 1.25 / mu + mu),
+    ]
+    margins = []
+    for pair, fixed, trace in steps:
+        angle = solve_plane_rotation_angle(*pair, trace)
+        assert 0.09 < angle < 0.12
+        diagonal = np.diag(list(pair) + fixed)
         for ann in annuli:
-            res = next(results)
-            assert res.grid == 256
-            oracle = _reference_avoidance(
-                current, step.plane, step.angle, ann, grid=256
-            )
-            _agrees_with_oracle(res, oracle, diagonal=False)
-        current = step.plane.rotation_matrix(step.angle) @ current
+            res = annulus_avoidance(pair, fixed, angle, ann, 256)
+            assert res.ok and res.certified and res.grid == 256
+            oracle = _reference_avoidance(diagonal, RotationPlane(0, 1), angle, ann, grid=256)
+            _agrees_with_oracle(res, oracle, diagonal=True)
+            margins.append(res.margin)
+    assert margins == pytest.approx([0.1, 0.25, 0.16398, 0.25], rel=1e-4)
 
 
 def _block_moduli(p, q, thetas):
