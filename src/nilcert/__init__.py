@@ -56,7 +56,6 @@ from .cone_certifier import (
     CertificationError,
     CocycleProduct,
     DominationWitness,
-    LinearDynamics,
     RateReport,
     RobustnessReport,
     SplittingEstimate,
@@ -114,7 +113,6 @@ __all__ = [
     "CertificationError",
     "CocycleProduct",
     "DominationWitness",
-    "LinearDynamics",
     "RateReport",
     "RobustnessReport",
     "SplittingEstimate",

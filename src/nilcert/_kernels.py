@@ -7,11 +7,10 @@ flattened by their owning modules.
 The profile kernel takes an array of radii and the rotation kernels an
 (N, d) stack of rows; each radius or row gets the value the element
 loops kept as oracles in ``tests/test_kernels.py`` give it alone, bit for
-bit.  The rotation kernels take the plane as its two basis vectors
-``e1`` and ``e2``, which are coordinate vectors
-(``deformation.RotationPlane``), so the in-plane coordinates they take
-as one ``np.vecdot`` per row are exact.  The domination kernels take
-the plane's two axes.
+bit.  Every kernel takes the rotation plane as its two axes ``(i, j)``
+(``deformation.RotationPlane.axes``); the rotation kernels read and
+write only columns ``i`` and ``j`` (rows and entries ``i``, ``j`` of a
+Jacobian).
 
 Products are plain ``@``.  On stacks, ``(N, d, d) @ (N, d, k)`` runs the
 same routine per matrix as a single ``@``, so the QR transport kernels
@@ -152,61 +151,69 @@ def row_radii(x):
     return np.sqrt(s)
 
 
-def _rotate(x, theta, e1, e2):
+def _rotate(x, theta, axes):
     """Rotate each row of x (N, d) by its angle theta (N,) in the oriented
-    plane spanned by the orthonormal pair (e1, e2), fixing the complement
-    pointwise.  Rows whose angle is exactly 0 are copied unchanged."""
-    c1 = np.vecdot(x, e1)[:, None]
-    c2 = np.vecdot(x, e2)[:, None]
-    out = x + (np.cos(theta)[:, None] - 1.0) * (c1 * e1 + c2 * e2)
-    out += np.sin(theta)[:, None] * (c1 * e2 - c2 * e1)
+    coordinate plane of axes (i, j), axis i towards axis j, fixing the
+    other columns.  Rows whose angle is exactly 0 are copied unchanged."""
+    i, j = axes
+    xi, xj = x[:, i], x[:, j]
+    ct1, st = np.cos(theta) - 1.0, np.sin(theta)
+    out = x.copy()
+    out[:, i] = xi + ct1 * xi - st * xj
+    out[:, j] = xj + ct1 * xj + st * xi
     still = theta == 0.0
     out[still] = x[still]
     return out
 
 
-def h_apply(x, p, e1, e2):
+def h_apply(x, p, axes):
     """Local rotation by the profile angle: rotate each row x[i] of x
     (N, d) by psi(|x[i]|)."""
-    return _rotate(x, psi_rows(row_radii(x), p)[0], e1, e2)
+    return _rotate(x, psi_rows(row_radii(x), p)[0], axes)
 
 
-def h_apply_inverse(y, p, e1, e2):
+def h_apply_inverse(y, p, axes):
     """Inverse of :func:`h_apply`: rotate each row y[i] back by psi(|y[i]|).
 
     The angle is read at the image radius, summed in the same order as
     :func:`h_apply` sums the radius of its argument.
     """
-    return _rotate(y, -psi_rows(row_radii(y), p)[0], e1, e2)
+    return _rotate(y, -psi_rows(row_radii(y), p)[0], axes)
 
 
-def h_jacobian(x, p, e1, e2):
+def h_jacobian(x, p, axes):
     """Jacobians of :func:`h_apply` at the rows of x (N, d): an (N, d, d)
     stack.
 
     Writing R for the rotation by psi(r) and J for its angular generator
     restricted to the plane, the derivative is R + (r psi'(r)) (J R xhat)
-    outer xhat.  The radial slope enters only through the bounded product
-    r * psi'(r), so the formula stays finite arbitrarily close to the
-    origin and across the log branch.  Rows where that product is 0 (the
-    origin among them) get R alone.
+    outer xhat.  J R x has entries only on the axes, so the radial term
+    moves only rows i and j.  The radial slope enters only through the
+    bounded product r * psi'(r), so the formula stays finite arbitrarily
+    close to the origin and across the log branch.  Rows where that
+    product is 0 (the origin among them) get R alone.  The in-plane
+    entries of R are the element loop's ``1 + (cos - 1)`` and
+    ``0 -/+ sin``; ``-sin`` would give -0.0 at angle 0.
     """
+    i, j = axes
     r = row_radii(x)
     theta, slope = psi_rows(r, p)
-    ct = np.cos(theta)[:, None]
-    st = np.sin(theta)[:, None]
-    out = np.eye(x.shape[1]) + (ct - 1.0)[:, :, None] * (np.outer(e1, e1) + np.outer(e2, e2))
-    out += st[:, :, None] * (np.outer(e2, e1) - np.outer(e1, e2))
+    ct, st = np.cos(theta), np.sin(theta)
+    out = np.tile(np.eye(x.shape[1]), (x.shape[0], 1, 1))
+    out[:, i, i] = out[:, j, j] = 1.0 + (ct - 1.0)
+    out[:, i, j] = 0.0 - st
+    out[:, j, i] = 0.0 + st
     rslope = r * slope
-    bent = (r != 0.0) & (rslope != 0.0)
-    if bent.any():
+    bent = np.flatnonzero((r != 0.0) & (rslope != 0.0))
+    if bent.size:
         xb, ct, st = x[bent], ct[bent], st[bent]
-        # J R x with J = e2 e1^T - e1 e2^T, from the rotated plane coordinates of x.
-        c1 = np.vecdot(xb, e1)[:, None]
-        c2 = np.vecdot(xb, e2)[:, None]
-        jrx = (ct * c1 - st * c2) * e2 - (st * c1 + ct * c2) * e1
-        inv_r = (1.0 / r[bent])[:, None, None]
-        out[bent] += (rslope[bent, None] * jrx)[:, :, None] * xb[:, None, :] * inv_r * inv_r
+        # J R x = (R x)_i e_j - (R x)_j e_i, from the rotated plane coordinates of x.
+        rxi = ct * xb[:, i] - st * xb[:, j]
+        rxj = st * xb[:, i] + ct * xb[:, j]
+        inv_r = (1.0 / r[bent])[:, None]
+        rs = rslope[bent]
+        out[bent, j] += (rs * rxi)[:, None] * xb * inv_r * inv_r
+        out[bent, i] += (rs * -rxj)[:, None] * xb * inv_r * inv_r
     return out
 
 

@@ -23,13 +23,15 @@ from the observed margins via explicit perturbation bounds, extracts
 invariant splittings along orbits by re-orthonormalized cocycle
 products, and measures the contraction/expansion/center rates that
 enter the bunching inequality ``max(nu, nu_hat) < gamma gamma_hat``.
+The orbit routines step a ``deformation.DeformedMap``; the undeformed
+automorphism is one without a rotation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,7 +46,7 @@ from ._kernels import (
     rump_positive_definite,
 )
 from .deformation import RotationPlane
-from .nilmanifold import DIM, AutomorphismSpec, LatticeSpec
+from .nilmanifold import DIM
 from .spectral_planner import AnnulusSpec
 
 __all__ = [
@@ -55,7 +57,6 @@ __all__ = [
     "robustness_radius",
     "CocycleProduct",
     "cocycle_product",
-    "LinearDynamics",
     "principal_angle",
     "splitting_distance",
     "subspace_intersection",
@@ -395,47 +396,12 @@ def cocycle_product(dyn, x: np.ndarray, n: int) -> CocycleProduct:
     return CocycleProduct(factors=factors, start=start, end=end.copy())
 
 
-class LinearDynamics:
-    """Orbit interface for the undeformed automorphism.
-
-    Mirrors the deformed map's stepping API, on one point (9,) or on
-    (N, 9) points at once, with the constant block-diagonal derivative,
-    so rate measurements and splitting extraction run identically on the
-    deformed and undeformed systems.
-    """
-
-    def __init__(self, auto: AutomorphismSpec, lattice: Optional[LatticeSpec] = None):
-        self.auto = auto
-        self.lattice = lattice
-        self._matrix = auto.matrix
-
-    def _reduce(self, x: np.ndarray) -> np.ndarray:
-        if self.lattice is None:
-            return x
-        return self.lattice.reduce(x)
-
-    def frame_jacobian(self, p: np.ndarray) -> np.ndarray:
-        """The automorphism's matrix, once per row of ``p``."""
-        return np.tile(self._matrix, np.shape(p)[:-1] + (1, 1))
-
-    def step(self, x: np.ndarray) -> np.ndarray:
-        return self._reduce(self.auto.apply(x))
-
-    def step_with_point(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        y = self.step(x)
-        return y, y
-
-    def step_inverse_with_point(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(x, y)``: the deformed map's ``(x, z)`` with the identity rotation."""
-        return self._reduce(self.auto.apply_inverse(y)), y
-
-
 class _StackedMaps:
     """Maps sharing one automorphism and one lattice, stepped as one stack.
 
     Map ``i`` owns the ``counts[i]`` rows after those of the maps before
     it.  A step makes one automorphism call and one lattice reduction on
-    all rows; each map's own rotation, if it has one (``LinearDynamics``
+    all rows; each map's own rotation, if it has one (the undeformed map
     has none), then acts on its block.  Every block's points and frame
     Jacobians are bit-identical to stepping its rows with its own map.
     """
@@ -446,7 +412,7 @@ class _StackedMaps:
             raise ValueError("stacked maps must share one automorphism and one lattice")
         ends = np.cumsum(counts)
         self._blocks = [(m, slice(e - c, e)) for m, e, c in zip(maps, ends, counts, strict=True)]
-        self._rotated = [(m.rotation, b) for m, b in self._blocks if hasattr(m, "rotation")]
+        self._rotated = [(m.rotation, b) for m, b in self._blocks if m.rotation is not None]
 
     def _reduce(self, x: np.ndarray) -> np.ndarray:
         return x if self.lattice is None else self.lattice.reduce(x)
@@ -854,7 +820,7 @@ def _probe_directions(
 
 
 def splitting_deviation_sweep(
-    dynamics_for_radius,
+    maps: Sequence,
     radii: Sequence[float],
     probe_radius: float = 0.1,
     probe_count: int = 24,
@@ -862,27 +828,25 @@ def splitting_deviation_sweep(
 ) -> tuple[SweepPoint, ...]:
     """Worst probe-set deviation of the extracted splitting per radius.
 
-    ``dynamics_for_radius`` maps a support radius to an orbit-capable
-    system (radius 0 meaning the undeformed map); the systems are built
-    first, in radius order, and must share one automorphism and one
-    lattice.  The unstable and stable bundles are extracted at all probe
-    points (each at distance ``probe_radius`` from the fixed point,
-    outside every support ball in the sweep) of all radii by one
-    :func:`extract_splitting` with its default depth rule, which walks
-    every radius's probes as one stack, with one lattice reduction per
-    step, and deepens until the whole stack converges.  The frames are
-    compared against the undeformed coordinate bundles; the sweep records
-    the worst principal angle per radius, and every point carries the one
-    extraction's statistics.
+    ``maps[k]`` is the deformed map of support radius ``radii[k]``
+    (radius 0 meaning the undeformed map); the maps must share one
+    automorphism and one lattice.  The unstable and stable bundles are
+    extracted at all probe points (each at distance ``probe_radius`` from
+    the fixed point, outside every support ball in the sweep) of all
+    radii by one :func:`extract_splitting` with its default depth rule,
+    which walks every radius's probes as one stack, with one lattice
+    reduction per step, and deepens until the whole stack converges.  The
+    frames are compared against the undeformed coordinate bundles; the
+    sweep records the worst principal angle per radius, and every point
+    carries the one extraction's statistics.
 
     The same seeded probe directions are used for every radius, so the
     sweep isolates the effect of the support radius alone.
     """
     rng = np.random.default_rng(seed)
     x = probe_radius * np.array(_probe_directions(rng, probe_count))
-    if not len(radii):
+    if not len(maps):
         return ()
-    maps = [dynamics_for_radius(radius) for radius in radii]
     est = extract_splitting(
         _StackedMaps(maps, [len(x)] * len(maps)),
         np.tile(x, (len(maps), 1)),
@@ -896,5 +860,5 @@ def splitting_deviation_sweep(
     worst = angles.reshape(len(maps), len(x)).max(axis=1)
     return tuple(
         SweepPoint(float(radius), float(w), len(x), est.stats)
-        for radius, w in zip(radii, worst)
+        for radius, w in zip(radii, worst, strict=True)
     )

@@ -5,7 +5,9 @@ The deformation is a radial rotation in a fixed coordinate 2-plane
 ``r`` from the chart origin is rotated by the angle ``psi(r)``, where
 ``psi`` is a plateau-log-cutoff profile.  Composing this local
 rotation with a hyperbolic automorphism produces the deformed map whose
-partial hyperbolicity the rest of the package certifies.
+partial hyperbolicity the rest of the package certifies;
+:class:`DeformedMap` without a rotation is the undeformed automorphism,
+stepped through the same methods.
 
 The profile ``psi`` has three analytic pieces:
 
@@ -232,39 +234,34 @@ def psi_slope(profile: BumpProfile, t):
 @dataclass(frozen=True)
 class RotationPlane:
     """The oriented coordinate plane of axes ``i`` and ``j`` in dimension
-    ``dim``: a positive angle turns ``e1`` (the basis vector of axis
-    ``i``) towards ``e2`` (that of axis ``j``)."""
+    ``dim``: a positive angle turns axis ``i`` towards axis ``j``."""
 
     i: int
     j: int
     dim: int = DIM
-    e1: np.ndarray = field(init=False, repr=False, compare=False)
-    e2: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not (0 <= self.i < self.dim and 0 <= self.j < self.dim) or self.i == self.j:
             raise ValueError("need two distinct basis indices in range")
-        e1, e2 = np.eye(self.dim)[[self.i, self.j]]
-        object.__setattr__(self, "e1", e1)
-        object.__setattr__(self, "e2", e2)
 
     @property
     def axes(self) -> tuple[int, int]:
         return self.i, self.j
 
     def rotation_matrix(self, theta: float) -> np.ndarray:
-        """Rotation by ``theta`` in the plane, identity on its complement."""
-        e1, e2 = self.e1, self.e2
-        ct, st = math.cos(theta), math.sin(theta)
-        out = np.eye(e1.shape[0])
-        out += (ct - 1.0) * (np.outer(e1, e1) + np.outer(e2, e2))
-        out += st * (np.outer(e2, e1) - np.outer(e1, e2))
-        return out
+        """Rotation by ``theta`` in the plane, identity on its complement.
 
-    @property
-    def generator(self) -> np.ndarray:
-        """Angular generator ``d/d theta`` of the rotation family at 0."""
-        return np.outer(self.e2, self.e1) - np.outer(self.e1, self.e2)
+        The in-plane entries are ``1 + (cos - 1)`` and ``0 -/+ sin``, as
+        in the rotation kernels: bit for bit the sum of outer products of
+        the axes' unit vectors, signed zeros included.
+        """
+        ct, st = math.cos(theta), math.sin(theta)
+        i, j = self.axes
+        out = np.eye(self.dim)
+        out[i, i] = out[j, j] = 1.0 + (ct - 1.0)
+        out[i, j] = 0.0 - st
+        out[j, i] = 0.0 + st
+        return out
 
 
 @dataclass(frozen=True)
@@ -295,16 +292,16 @@ class LocalRotationMap:
         rows = v.reshape(-1, DIM)
         return v.shape, rows, ~(_kernels.row_radii(rows) >= self.support_radius)
 
-    def _kernel_args(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.profile.params, self.plane.e1, self.plane.e2
-
-    def apply(self, x) -> np.ndarray:
-        """Image of a point (9,), or of each row of an (N, 9) array."""
+    def _rotate_inside(self, kernel, x) -> np.ndarray:
         shape, rows, inside = self._inside_rows(x)
         out = rows.copy()
         if inside.any():
-            out[inside] = _kernels.h_apply(rows[inside], *self._kernel_args())
+            out[inside] = kernel(rows[inside], self.profile.params, self.plane.axes)
         return out.reshape(shape) + self.center
+
+    def apply(self, x) -> np.ndarray:
+        """Image of a point (9,), or of each row of an (N, 9) array."""
+        return self._rotate_inside(_kernels.h_apply, x)
 
     def apply_inverse(self, y) -> np.ndarray:
         """Inverse: rotate back by the angle read at the image radius.
@@ -313,11 +310,7 @@ class LocalRotationMap:
         angle is the profile at ``|y|``, summed as :meth:`apply` sums
         ``|x|``, and the round trip is exact up to rounding.
         """
-        shape, rows, inside = self._inside_rows(y)
-        out = rows.copy()
-        if inside.any():
-            out[inside] = _kernels.h_apply_inverse(rows[inside], *self._kernel_args())
-        return out.reshape(shape) + self.center
+        return self._rotate_inside(_kernels.h_apply_inverse, y)
 
     def jacobian(self, x) -> np.ndarray:
         """Derivative at ``x``: the in-place rotation plus a rank-one radial term.
@@ -333,7 +326,7 @@ class LocalRotationMap:
         shape, rows, inside = self._inside_rows(x)
         out = np.tile(np.eye(DIM), (rows.shape[0], 1, 1))
         if inside.any():
-            out[inside] = _kernels.h_jacobian(rows[inside], *self._kernel_args())
+            out[inside] = _kernels.h_jacobian(rows[inside], self.profile.params, self.plane.axes)
         return out.reshape(shape[:-1] + (DIM, DIM))
 
 
@@ -351,7 +344,9 @@ class DeformedMap:
     local rotation.  Its derivative in the left-invariant frame is
     ``Dh(y) . B`` with ``y`` the reduced image of ``B x``, which equals
     ``B`` outside the rotation support and the rotation by the plateau
-    angle times ``B`` at the fixed point.
+    angle times ``B`` at the fixed point.  Without a rotation ``h`` is
+    the identity: ``DeformedMap(auto, lattice=lattice)`` is the
+    undeformed automorphism, with derivative ``B`` everywhere.
 
     When a lattice is attached, :meth:`step` keeps orbit representatives
     reduced.  Chart formulas expect reduced representatives: the
@@ -368,14 +363,14 @@ class DeformedMap:
     """
 
     auto: AutomorphismSpec
-    rotation: LocalRotationMap
+    rotation: Optional[LocalRotationMap] = None
     lattice: Optional[LatticeSpec] = None
     chart_radius: float = 0.3
 
     def __post_init__(self) -> None:
         if not (self.chart_radius > 0):
             raise DeformationError("chart radius must be positive")
-        if self.rotation.support_radius >= self.chart_radius:
+        if self.rotation is not None and self.rotation.support_radius >= self.chart_radius:
             raise DeformationError(
                 "support radius too large for chart: "
                 f"{self.rotation.support_radius:.6g} >= {self.chart_radius:.6g}"
@@ -405,8 +400,11 @@ class DeformedMap:
         at the reduced point ``p``: the point that :meth:`step_with_point`
         and :meth:`step_inverse_with_point` return.  For an (N, 9) array
         it is the (N, 9, 9) stack; rows outside the support ball get
-        exactly ``diag(B)`` without a kernel call.
+        exactly ``diag(B)`` without a kernel call, and without a rotation
+        every row gets the automorphism's matrix.
         """
+        if self.rotation is None:
+            return np.tile(self.auto.matrix, np.shape(p)[:-1] + (1, 1))
         return self.rotation.jacobian(p) * self.auto.diag
 
     def step_with_point(self, x) -> tuple[np.ndarray, np.ndarray]:
@@ -417,13 +415,14 @@ class DeformedMap:
         so it must be decided on the small representative.  (The
         rotation is centred at the origin and preserves the norm, so no
         second reduction is needed.)  Returns ``(h(y), y)`` with ``y``
-        the reduced image of ``B x``; ``x`` may be one point (9,) or an
-        (N, 9) array of points stepped together.
+        the reduced image of ``B x``, ``(y, y)`` without a rotation; ``x``
+        may be one point (9,) or an (N, 9) array of points stepped
+        together.
         """
         y = self.auto.apply(x)
         if self.lattice is not None:
             y = self.lattice.reduce(y)
-        return self.rotation.apply(y), y
+        return (y if self.rotation is None else self.rotation.apply(y)), y
 
     def step(self, x) -> np.ndarray:
         """One step of the quotient dynamics on reduced representatives."""
@@ -454,7 +453,7 @@ class DeformedMap:
         at small points and so keeps ``y`` reduced; ``y`` is not reduced
         here.
         """
-        z = self.rotation.apply_inverse(y)
+        z = y if self.rotation is None else self.rotation.apply_inverse(y)
         x = self.auto.apply_inverse(z)
         if self.lattice is not None:
             x = self.lattice.reduce(x)

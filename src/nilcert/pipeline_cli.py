@@ -50,7 +50,6 @@ from .cone_certifier import (
     DominationWitness,
     EXPANDING_AXES,
     ExtractionStats,
-    LinearDynamics,
     _axes_frame,
     bunching_report,
     find_domination_exponent,
@@ -94,7 +93,7 @@ EXIT_CERTIFICATION_FAILURE = 3
 EXIT_INTERNAL_ERROR = 4
 EXIT_BROKEN_PIPE = 141
 
-REPORT_SCHEMA_VERSION = "4"
+REPORT_SCHEMA_VERSION = "5"
 
 
 class ConfigError(ValueError):
@@ -394,7 +393,6 @@ def _expanding_eigenspace_angle(
 
 def _stage_planner(
     config: PipelineConfig,
-    eig: EigenData,
     auto: AutomorphismSpec,
     annuli: tuple[AnnulusSpec, AnnulusSpec],
 ) -> tuple[dict, Optional[PlanStep]]:
@@ -402,16 +400,10 @@ def _stage_planner(
 
     Returns the plan's one rotation step only when the plan passes.
     """
-    l1, l2, l3 = eig.values
     frag: dict = {
         "annuli": [[a.alpha_q, a.beta_q] for a in annuli],
-        "feasibility_product": l2 * l3 * l3,
-        "feasibility_requires_exceeds": l3,
         "status": "fail",
     }
-    if not (l2 * l3 * l3 > l3):
-        frag["error"] = "in-plane product does not exceed the top modulus"
-        return frag, None
     try:
         labeled = LabeledSpectrum.from_diagonal(auto.diag, annuli[0], annuli[1])
         plan = plan_center_collapse(
@@ -491,7 +483,7 @@ def build_construction(config: PipelineConfig) -> tuple[dict, Optional[Construct
     if stages["nilmanifold"]["status"] != "pass":
         return stages, None
     annuli = _annuli(config, eig)
-    stages["planner"], step = _stage_planner(config, eig, auto, annuli)
+    stages["planner"], step = _stage_planner(config, auto, annuli)
     if step is None:
         return stages, None
     return stages, Construction(eig, auto, lattice, annuli, step)
@@ -632,7 +624,7 @@ def _stage_rates(
             rotation_axes=con.step.axes,
             seed=config.seed,
         )
-        for d in (dyn, LinearDynamics(con.auto, con.lattice))
+        for d in (dyn, DeformedMap(con.auto, lattice=con.lattice))
     )
     nu_oracle = l1
     nu_hat_oracle = 1.0 / l3
@@ -685,25 +677,18 @@ def _stage_rates(
 
 def _stage_sweep(config: PipelineConfig, con: Construction) -> dict:
     """Splitting deviation ladder over support scales, plus zero control."""
-    warnings: list[str] = []
-
-    def dynamics_for(scale: float):
-        if scale == 0.0:
-            return LinearDynamics(con.auto, con.lattice)
-        dyn = con.deformed_map(scale, config.chart_radius)
-        radius = dyn.rotation.profile.support_radius
-        if radius >= config.probe_radius:
-            warnings.append(
-                f"probe set at radius {config.probe_radius} intersects the "
-                f"support ball (radius {radius:.4g}) for "
-                f"support scale {scale:.4g}"
-            )
-        return dyn
-
-    scales = list(config.sweep_supports) + [0.0]
+    scales = list(config.sweep_supports)
+    maps = [con.deformed_map(scale, config.chart_radius) for scale in scales]
+    warnings = [
+        f"probe set at radius {config.probe_radius} intersects the "
+        f"support ball (radius {dyn.rotation.support_radius:.4g}) for "
+        f"support scale {scale:.4g}"
+        for scale, dyn in zip(scales, maps)
+        if dyn.rotation.support_radius >= config.probe_radius
+    ]
     points = splitting_deviation_sweep(
-        dynamics_for,
-        scales,
+        maps + [DeformedMap(con.auto, lattice=con.lattice)],
+        scales + [0.0],
         probe_radius=config.probe_radius,
         probe_count=config.probe_count,
         seed=config.seed + 1,
@@ -734,12 +719,12 @@ def _stage_sweep(config: PipelineConfig, con: Construction) -> dict:
 
 
 _ERRATUM_NOTES = [
-    "The redistribution target for the accumulated modulus is "
-    "|c * u_1 ... u_m| / mu^m (determinant-consistent): each planned "
-    "rotation preserves its in-plane product, so after m steps the "
-    "accumulator must carry the total product divided by mu^m, and the "
-    "final inequality mu^-m |c u_1 ... u_m| > mu^m holds.",
-    "Reading the target modulus as |c u_1| mu (multiplying instead of "
+    "The redistribution target for the partner modulus is |c u| / mu "
+    "(determinant-consistent): the planned rotation preserves its "
+    "in-plane product c u, so moving the center modulus c to mu = 1 + s "
+    "leaves |c u| / mu on the partner axis, and the plan requires "
+    "|c u| / mu > max(rest, mu).",
+    "Reading the target modulus as |c u| mu (multiplying instead of "
     "dividing) violates volume preservation: the planned spectrum's "
     "product would differ from the input's, which the determinant check "
     "rejects on every volume-preserving input.",

@@ -348,8 +348,6 @@ class PlanStep:
             "axes": list(self.axes),
             "input_pair": list(self.input_pair),
             "target_pair": list(self.target_pair),
-            "plane_e1": [float(x) for x in self.plane.e1],
-            "plane_e2": [float(x) for x in self.plane.e2],
         }
 
 

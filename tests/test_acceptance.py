@@ -19,7 +19,6 @@ from nilcert.algebraic_core import (
 from nilcert.cone_certifier import (
     CENTER_AXES,
     EXPANDING_AXES,
-    LinearDynamics,
     STRONG_STABLE_AXES,
     bunching_report,
     cocycle_product,
@@ -322,7 +321,7 @@ def test_criterion_6_rates_and_bunching(
     report = bunching_report(
         deformed, (l1, l2, l3), plane_axes, n=2, sample_count=512, seed=0
     )
-    lin = LinearDynamics(auto, lattice)
+    lin = DeformedMap(auto, lattice=lattice)
     base = bunching_report(
         lin, (l1, l2, l3), plane_axes, n=2, sample_count=512, seed=0
     )
@@ -355,10 +354,9 @@ def test_criterion_7_support_sweep(
 ):
     start = time.perf_counter()
 
-    def dynamics_for(scale):
-        if scale == 0.0:
-            return LinearDynamics(auto, lattice)
-        return DeformedMap(
+    ladder = [0.05, 6.25e-3, 7.8125e-4, 9.765625e-5, 1.220703125e-5]
+    maps = [
+        DeformedMap(
             auto=auto,
             rotation=LocalRotationMap(
                 profile=make_profile(collapse_angle, scale),
@@ -367,10 +365,14 @@ def test_criterion_7_support_sweep(
             lattice=lattice,
             chart_radius=0.3,
         )
-
-    ladder = [0.05, 6.25e-3, 7.8125e-4, 9.765625e-5, 1.220703125e-5]
+        for scale in ladder
+    ]
     points = splitting_deviation_sweep(
-        dynamics_for, ladder + [0.0], probe_radius=0.1, probe_count=24, seed=1
+        maps + [DeformedMap(auto, lattice=lattice)],
+        ladder + [0.0],
+        probe_radius=0.1,
+        probe_count=24,
+        seed=1,
     )
     elapsed = time.perf_counter() - start
 

@@ -14,7 +14,6 @@ from nilcert.cone_certifier import (
     CertificationError,
     CocycleProduct,
     EXPANDING_AXES,
-    LinearDynamics,
     STRONG_STABLE_AXES,
     bunching_report,
     cocycle_product,
@@ -258,7 +257,7 @@ def test_stacked_extraction_matches_points_extracted_alone(deformed):
 def test_stacked_cocycle_product_matches_single_points(
     deformed, auto, lattice, deformed_map
 ):
-    dyn = deformed if deformed_map else LinearDynamics(auto, lattice)
+    dyn = deformed if deformed_map else DeformedMap(auto, lattice=lattice)
     x = _stack_points(deformed)
     prod = cocycle_product(dyn, x, 4)
     assert prod.matrix.shape == (6, DIM, DIM) and prod.steps == 4
@@ -291,7 +290,7 @@ def test_stacked_principal_angle_matches_pairs():
 
 
 def test_linear_dynamics_matches_automorphism(auto, lattice):
-    lin = LinearDynamics(auto, lattice)
+    lin = DeformedMap(auto, lattice=lattice)
     x = np.full(DIM, 0.003)
     stepped = lin.step(x)
     assert np.allclose(stepped, lattice.reduce(auto.apply(x)), atol=0)
@@ -358,7 +357,7 @@ def test_bunching_report_small_sample(deformed, eigendata, plane_axes):
 
 def test_undeformed_rates_reproduce_spectrum(auto, lattice, eigendata, plane_axes):
     l1, _, l3 = eigendata.values
-    lin = LinearDynamics(auto, lattice)
+    lin = DeformedMap(auto, lattice=lattice)
     report = bunching_report(
         lin, eigendata.values, plane_axes, n=2, sample_count=96, seed=0
     )
@@ -396,30 +395,31 @@ def _alone(dyn, x, steps, seed_b, seed_f, n=0):
     return q_b, q_f, fwd
 
 
-def _sweep_dynamics(auto, lattice, plan):
+def _sweep_maps(auto, lattice, plan, radii):
     step = plan.steps[-1]
-
-    def dynamics_for(scale):
-        if scale == 0.0:
-            return LinearDynamics(auto, lattice)
-        rotation = LocalRotationMap(make_profile(step.angle, scale), step.plane)
-        return DeformedMap(auto=auto, rotation=rotation, lattice=lattice)
-
-    return dynamics_for
+    return [
+        DeformedMap(
+            auto=auto,
+            rotation=LocalRotationMap(make_profile(step.angle, scale), step.plane),
+            lattice=lattice,
+        )
+        if scale
+        else DeformedMap(auto, lattice=lattice)
+        for scale in radii
+    ]
 
 
 def test_batched_sweep_matches_points_walked_alone(auto, lattice, plan):
     radii = PipelineConfig().sweep_supports + (0.0,)
-    dynamics_for = _sweep_dynamics(auto, lattice, plan)
-    sweep = splitting_deviation_sweep(dynamics_for, radii, probe_count=6, seed=2)
+    maps = _sweep_maps(auto, lattice, plan, radii)
+    sweep = splitting_deviation_sweep(maps, radii, probe_count=6, seed=2)
     steps = sweep[0].extraction.steps_used
     assert all(p.extraction == sweep[0].extraction for p in sweep)
     assert sweep[0].extraction.converged
     dirs = cc._probe_directions(np.random.default_rng(2), 6)
     u_ref = cc._axes_frame(EXPANDING_AXES)
     s_ref = cc._axes_frame(STRONG_STABLE_AXES)
-    for radius, point in zip(radii, sweep):
-        dyn = dynamics_for(radius)
+    for dyn, radius, point in zip(maps, radii, sweep):
         worst = 0.0
         for v in dirs:
             q_u, q_s, _ = _alone(dyn, 0.1 * v, steps, u_ref, s_ref)
@@ -436,7 +436,7 @@ def test_single_probe_sweep_strictly_decreases(auto, lattice, plan, seed):
     assert np.count_nonzero(v[list(EXPANDING_AXES)]) == len(EXPANDING_AXES) == np.count_nonzero(v)
     radii = PipelineConfig().sweep_supports + (0.0,)
     sweep = splitting_deviation_sweep(
-        _sweep_dynamics(auto, lattice, plan), radii, probe_count=1, seed=seed
+        _sweep_maps(auto, lattice, plan, radii), radii, probe_count=1, seed=seed
     )
     ladder = [p.deviation for p in sweep[:-1]]
     assert all(a > b for a, b in zip(ladder, ladder[1:])) and ladder[-1] > 0.0
@@ -457,7 +457,7 @@ def test_stacked_maps_step_each_block_as_its_own_map(auto, lattice, plan, with_l
     )
     # Blocks of unequal size, an empty one, and an undeformed one; the
     # deformed blocks have rows inside and outside their support balls.
-    maps = (wide, LinearDynamics(auto, lat), wide, narrow)
+    maps = (wide, DeformedMap(auto, lattice=lat), wide, narrow)
     counts = (5, 3, 0, 2)
     x = np.concatenate(
         [_stack_points(wide, 5), _stack_points(wide, 3, seed=10), _stack_points(narrow, 2)]
@@ -481,11 +481,11 @@ def test_stacked_maps_step_each_block_as_its_own_map(auto, lattice, plan, with_l
 
 
 def test_stacked_maps_require_one_automorphism_and_one_lattice(auto, lattice, eigendata):
-    lin = LinearDynamics(auto, lattice)
+    lin = DeformedMap(auto, lattice=lattice)
     for other in (
-        LinearDynamics(AutomorphismSpec.from_eigendata(eigendata), lattice),
-        LinearDynamics(auto, LatticeSpec.from_eigendata(eigendata)),
-        LinearDynamics(auto),
+        DeformedMap(AutomorphismSpec.from_eigendata(eigendata), lattice=lattice),
+        DeformedMap(auto, lattice=LatticeSpec.from_eigendata(eigendata)),
+        DeformedMap(auto),
     ):
         with pytest.raises(ValueError):
             cc._StackedMaps((lin, other), (1, 1))
@@ -497,7 +497,7 @@ def test_stacked_maps_require_one_automorphism_and_one_lattice(auto, lattice, ei
 def test_batched_rates_match_points_walked_alone(
     deformed, auto, lattice, eigendata, plane_axes, deformed_map
 ):
-    dyn = deformed if deformed_map else LinearDynamics(auto, lattice)
+    dyn = deformed if deformed_map else DeformedMap(auto, lattice=lattice)
     report = bunching_report(
         dyn, eigendata.values, plane_axes, n=3, sample_count=16, seed=4
     )
@@ -559,7 +559,7 @@ def _ref_rate_sample_points(rng, dyn, count, inner_scale, outer_radius, plane_ax
 def test_batched_funnel_orbits_match_points_stepped_alone(
     deformed, auto, lattice, plane_axes, deformed_map, count
 ):
-    dyn = deformed if deformed_map else LinearDynamics(auto, lattice)
+    dyn = deformed if deformed_map else DeformedMap(auto, lattice=lattice)
     args = (dyn, count, 0.02, 0.1, plane_axes)
     points = cc._rate_sample_points(np.random.default_rng(7), *args)
     ref = _ref_rate_sample_points(np.random.default_rng(7), *args)

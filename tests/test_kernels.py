@@ -53,6 +53,22 @@ def _ref_radius(x):
     return math.sqrt(r)
 
 
+def _basis(axes):
+    """The oracles' form of a plane: the unit vectors of its two axes."""
+    return np.eye(DIM)[axes[0]], np.eye(DIM)[axes[1]]
+
+
+def _ref_rotation_matrix(axes, theta):
+    """Rotation by theta in the plane of axes, as a sum of outer products
+    of the axes' unit vectors."""
+    e1, e2 = _basis(axes)
+    ct, st = math.cos(theta), math.sin(theta)
+    out = np.eye(DIM)
+    out += (ct - 1.0) * (np.outer(e1, e1) + np.outer(e2, e2))
+    out += st * (np.outer(e2, e1) - np.outer(e1, e2))
+    return out
+
+
 def _ref_rotate_in_plane(x, e1, e2, theta):
     c1 = 0.0
     c2 = 0.0
@@ -178,10 +194,8 @@ def test_profile_matches_loop(eps):
     assert _identical(slope, [_ref_psi(t, p, slope=True) for t in map(float, ts)])
 
 
-@pytest.mark.parametrize("eps", [0.05, 1.0], ids=["default", "wide-blends"])
-def test_rotation_kernels_match_loops_on_the_construction_plane(eps):
-    profile = make_profile(ANGLE, eps)
-    p, e1, e2 = profile.params, PLANE.e1, PLANE.e2
+def _check_rotation_kernels(profile, axes):
+    p, (e1, e2) = profile.params, _basis(axes)
     # The origin, and a row outside the support whose -0.0 entries an
     # update by angle 0 would turn into +0.0.
     far = np.full((1, DIM), -0.0)
@@ -189,27 +203,69 @@ def test_rotation_kernels_match_loops_on_the_construction_plane(eps):
     x = np.concatenate([_points(profile, seed=1), np.zeros((1, DIM)), far])
     outside = np.sum(np.linalg.norm(x, axis=1) >= profile.support_radius)
     assert 0 < outside < 200
-    image = _kernels.h_apply(x, p, e1, e2)
-    jac = _kernels.h_jacobian(x, p, e1, e2)
+    image = _kernels.h_apply(x, p, axes)
+    jac = _kernels.h_jacobian(x, p, axes)
     for k, xk in enumerate(x):
         assert _identical(image[k], _ref_h_apply(xk, p, e1, e2))
         assert _identical(jac[k], _ref_h_jacobian(xk, p, e1, e2))
+
+
+def _check_inverse_rotation(profile, plane):
+    p, (e1, e2) = profile.params, _basis(plane.axes)
+    rot = LocalRotationMap(profile=profile, plane=plane)
+    y = _points(profile, seed=2, count=1000)
+    back = _kernels.h_apply_inverse(y, p, plane.axes)
+    back_map = rot.apply_inverse(y)
+    for k, yk in enumerate(y):
+        expected = _ref_h_apply(yk, p, e1, e2, sign=-1.0)
+        assert _identical(back[k], expected)
+        assert _identical(back_map[k], expected)
+
+
+@pytest.mark.parametrize("eps", [0.05, 1.0], ids=["default", "wide-blends"])
+def test_rotation_kernels_match_loops_on_the_construction_plane(eps):
+    _check_rotation_kernels(make_profile(ANGLE, eps), PLANE.axes)
 
 
 def test_inverse_rotation_reads_the_angle_as_the_forward_map_does():
     # The inverse rotates back by psi at the image radius, summed in index
     # order like h_apply's radius; a differently rounded norm moves the
     # angle on the log branch.
+    _check_inverse_rotation(make_profile(ANGLE, 0.05), PLANE)
+
+
+@pytest.mark.parametrize("axes", [(0, 4), (8, 3)], ids=["second-plane", "reversed-plane"])
+def test_rotation_kernels_match_loops_on_other_planes(axes):
+    # The reversed plane turns axis 8 towards axis 3: the kernels must take
+    # the orientation from the order of the axes.
     profile = make_profile(ANGLE, 0.05)
-    p, e1, e2 = profile.params, PLANE.e1, PLANE.e2
-    rot = LocalRotationMap(profile=profile, plane=PLANE)
-    y = _points(profile, seed=2, count=1000)
-    back = _kernels.h_apply_inverse(y, p, e1, e2)
-    back_map = rot.apply_inverse(y)
-    for k, yk in enumerate(y):
-        expected = _ref_h_apply(yk, p, e1, e2, sign=-1.0)
-        assert _identical(back[k], expected)
-        assert _identical(back_map[k], expected)
+    _check_rotation_kernels(profile, axes)
+    _check_inverse_rotation(profile, RotationPlane(*axes))
+
+
+def test_rotation_copies_the_other_columns_bit_for_bit():
+    # Off the plane the rotation is the identity, so those columns are
+    # copied, -0.0 included; the basis-vector loop adds a signed zero there
+    # and can turn -0.0 into +0.0.  The plane's two columns match the loop.
+    profile = make_profile(ANGLE, 0.05)
+    p, axes = profile.params, PLANE.axes
+    x = _points(profile, seed=4)
+    others = [k for k in range(DIM) if k not in axes]
+    x[::2, others[::2]] = -0.0
+    x[1::2, others[1::2]] = 0.0
+    e1, e2 = _basis(axes)
+    for kernel, sign in ((_kernels.h_apply, 1.0), (_kernels.h_apply_inverse, -1.0)):
+        out = kernel(x, p, axes)
+        assert _identical(out[:, others], x[:, others])
+        for k, xk in enumerate(x):
+            assert _identical(out[k, list(axes)], _ref_h_apply(xk, p, e1, e2, sign)[list(axes)])
+
+
+@pytest.mark.parametrize("axes", [(3, 8), (8, 3), (0, 4)])
+@pytest.mark.parametrize("theta", [0.0, 1e-300, -0.7, math.pi / 2, math.pi])
+def test_rotation_matrix_matches_outer_products(axes, theta):
+    r = RotationPlane(*axes).rotation_matrix(theta)
+    assert _identical(r, _ref_rotation_matrix(axes, theta))
 
 
 @pytest.mark.parametrize("n", [1, 2])

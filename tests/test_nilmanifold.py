@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nilcert.cone_certifier import LinearDynamics
+from nilcert.deformation import DeformedMap
 from nilcert.nilmanifold import (
     DIM,
     AutomorphismSpec,
@@ -88,7 +88,7 @@ def test_automorphism_volume_and_frame_derivative(auto):
     assert np.allclose(np.diag(np.diag(mat)), mat)
     assert abs(np.prod(auto.diag) - 1.0) < 1e-12
     # The automorphism's frame derivative is its matrix at every point.
-    assert np.array_equal(LinearDynamics(auto).frame_jacobian(np.ones(DIM)), mat)
+    assert np.array_equal(DeformedMap(auto).frame_jacobian(np.ones(DIM)), mat)
     lo, hi = auto.expansion_bounds()
     assert lo == min(abs(d) for d in auto.diag)
     assert hi == max(abs(d) for d in auto.diag)

@@ -107,7 +107,7 @@ def test_default_pipeline_passes_every_stage(pipeline_reports):
         "sweep",
     ):
         assert report["stages"][name]["status"] == "pass", name
-    assert report["schema_version"] == "4"
+    assert report["schema_version"] == "5"
     assert report["tool"]["name"] == "nilcert"
     assert report["erratum_notes"]
 
@@ -436,7 +436,7 @@ def test_report_command_pretty_prints(tmp_path, capsys):
     assert main(["report", "--out", str(out_dir)]) == EXIT_PASS
     stdout = capsys.readouterr().out
     assert "verdict: PASS" in stdout
-    assert "schema 4" in stdout
+    assert "schema 5" in stdout
     assert "multiplier cap 8, reached per annulus: [False, False]" in stdout
     assert "Monte Carlo: 0 failures in 100 trials, 0 Cholesky fallbacks" in stdout
 
